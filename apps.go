@@ -6,8 +6,10 @@ import (
 )
 
 // Application builders re-exported from internal/workloads: the paper's
-// synthetic layered DAGs, K-means clustering and 2D Heat. They produce
-// ordinary Graphs that run on either engine.
+// synthetic layered DAGs, K-means clustering and 2D Heat — the workloads
+// of its Figures 4–10, which the paper scenario families in
+// internal/scenario simulate. They produce ordinary Graphs that run on
+// either engine.
 
 type (
 	// SyntheticConfig describes a layered synthetic DAG (one critical
@@ -42,6 +44,6 @@ func NewKMeans(cfg KMeansConfig) *KMeans { return workloads.NewKMeans(cfg) }
 func NewHeat(cfg HeatConfig) *Heat { return workloads.NewHeat(cfg) }
 
 // StartInterferingLoad launches n busy-spinning OS threads as a synthetic
-// co-running application for real-mode interference experiments. Call the
+// co-running application for interference runs on the real runtime. Call the
 // returned function to stop them.
 func StartInterferingLoad(n int) (stop func()) { return xtr.SpinLoad(n) }

@@ -1,137 +1,40 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, each wrapping the corresponding experiment from
-// internal/experiments at a reduced scale (the CLI `asymbench` runs them at
-// paper scale; see EXPERIMENTS.md). The benchmark metric of interest is the
-// reported custom metrics (tasks/s of the key schedulers), not ns/op.
+// Benchmark harness: one sub-benchmark per paper figure and ablation
+// scenario family at a reduced scale (the CLI `asymbench -scenario` runs
+// them at paper scale; see EXPERIMENTS.md), plus the engine throughput
+// benchmarks the committed BENCH_PR*.json snapshots track.
 package dynasym_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"dynasym/internal/core"
-	"dynasym/internal/experiments"
 	"dynasym/internal/interfere"
 	"dynasym/internal/machine"
+	"dynasym/internal/scenario"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
 	"dynasym/internal/workloads"
 )
 
-// benchScale keeps each benchmark iteration around a second.
-const benchScale = experiments.Scale(0.05)
+// benchScale keeps each family iteration in the tens of milliseconds.
+const benchScale = 0.05
 
-func BenchmarkTable1Policies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table1()
-		if len(res.Rows) != 7 {
-			b.Fatal("table 1 incomplete")
+// BenchmarkPaperFamilies runs every paper figure and ablation family once
+// per iteration at benchScale, calibration runs (Figures 9 and 10)
+// included.
+func BenchmarkPaperFamilies(b *testing.B) {
+	for _, name := range scenario.Names() {
+		if !strings.HasPrefix(name, "fig") && !strings.HasPrefix(name, "ablation-") {
+			continue
 		}
-	}
-}
-
-func benchFig4(b *testing.B, kernel workloads.KernelKind) {
-	for i := 0; i < b.N; i++ {
-		grid := experiments.Fig4(experiments.Fig4Config{
-			Kernel:       kernel,
-			Parallelisms: []int{2, 4, 6},
-			Scale:        benchScale,
+		f, _ := scenario.Lookup(name)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scenario.MustRun(f.Spec(benchScale, scenario.DefaultSeed))
+			}
 		})
-		b.ReportMetric(grid.Get("DAM-C", 2), "DAM-C@P2_tasks/s")
-		b.ReportMetric(grid.Get("RWS", 2), "RWS@P2_tasks/s")
-	}
-}
-
-func BenchmarkFig4aMatMulCoRun(b *testing.B)  { benchFig4(b, workloads.MatMul) }
-func BenchmarkFig4bCopyCoRun(b *testing.B)    { benchFig4(b, workloads.Copy) }
-func BenchmarkFig4cStencilCoRun(b *testing.B) { benchFig4(b, workloads.Stencil) }
-
-func BenchmarkFig5PriorityPlacement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig5(experiments.Fig5Config{Scale: benchScale})
-		b.ReportMetric(res.Share("DA", 1)*100, "DA_crit_on_core1_%")
-	}
-}
-
-func BenchmarkFig6CoreWorkTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig6(experiments.Fig5Config{Scale: benchScale})
-		b.ReportMetric(res.CoreTime("FA", 0), "FA_core0_s")
-	}
-}
-
-func benchFig7(b *testing.B, kernel workloads.KernelKind) {
-	for i := 0; i < b.N; i++ {
-		grid := experiments.Fig7(experiments.Fig7Config{
-			Kernel:       kernel,
-			Parallelisms: []int{2, 4, 6},
-			Scale:        benchScale,
-		})
-		b.ReportMetric(grid.Get("DAM-P", 2), "DAM-P@P2_tasks/s")
-		b.ReportMetric(grid.Get("FA", 2), "FA@P2_tasks/s")
-	}
-}
-
-func BenchmarkFig7aMatMulDVFS(b *testing.B)  { benchFig7(b, workloads.MatMul) }
-func BenchmarkFig7bCopyDVFS(b *testing.B)    { benchFig7(b, workloads.Copy) }
-func BenchmarkFig7cStencilDVFS(b *testing.B) { benchFig7(b, workloads.Stencil) }
-
-func BenchmarkFig8WeightSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig8(experiments.Fig8Config{
-			Tiles:  []int{32, 96},
-			Alphas: []float64{0.2, 1.0},
-			Scale:  benchScale,
-		})
-		b.ReportMetric(res.Spread(0)*100, "tile32_spread_%")
-	}
-}
-
-func BenchmarkFig9KMeans(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig9(experiments.Fig9Config{
-			Iters: 30, From: 8, To: 22, Scale: experiments.Scale(0.25),
-		})
-		b.ReportMetric(res.MeanSettledIterTime("RWS")*1e3, "RWS_iter_ms")
-		b.ReportMetric(res.MeanSettledIterTime("DAM-P")*1e3, "DAM-P_iter_ms")
-	}
-}
-
-func BenchmarkFig10DistributedHeat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig10(experiments.Fig10Config{Scale: experiments.Scale(0.5)})
-		b.ReportMetric(res.Get("DAM-C"), "DAM-C_tasks/s")
-		b.ReportMetric(res.Get("RWS"), "RWS_tasks/s")
-	}
-}
-
-func BenchmarkAblationSteal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(experiments.AblationConfig{
-			Variant: "steal", Parallelisms: []int{2}, Scale: benchScale,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationWake(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(experiments.AblationConfig{
-			Variant: "wake", Parallelisms: []int{2}, Scale: benchScale,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationDHEFT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(experiments.AblationConfig{
-			Variant: "dheft", Parallelisms: []int{2}, Scale: benchScale,
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -183,14 +86,12 @@ func BenchmarkScaleout64Engine(b *testing.B) {
 // Engine micro-benchmarks: scheduling throughput of the simulated runtime
 // (events/s) and the real runtime (tasks/s on trivial tasks).
 func BenchmarkSimulatedSchedulerThroughput(b *testing.B) {
-	grid := experiments.Fig4Config{
-		Kernel:       workloads.MatMul,
-		Parallelisms: []int{6},
-		Policies:     []core.Policy{core.DAMC()},
-		Scale:        experiments.Scale(0.02),
-	}
+	f, _ := scenario.Lookup("fig4a")
+	spec := f.Spec(0.02, scenario.DefaultSeed)
+	spec.Points = scenario.ParallelismPoints(6)
+	spec.Policies = []core.Policy{core.DAMC()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Fig4(grid)
+		scenario.MustRun(spec)
 	}
 }

@@ -1,16 +1,19 @@
-// Command asymbench regenerates the paper's tables and figures, and runs
-// the named scenario families that extend the evaluation beyond the paper.
+// Command asymbench runs the registered scenario families: the paper's
+// figures and ablations (fig4a … fig10, ablation-*) and the families that
+// extend the evaluation beyond the paper.
 //
 // Usage:
 //
-//	asymbench -exp fig4a                 # one experiment
-//	asymbench -exp all                   # everything, paper order
-//	asymbench -exp fig4a -scale 0.1     # scaled down (faster)
-//	asymbench -scenario burst-sweep     # a registered scenario family
-//	asymbench -list
+//	asymbench -list                          # Table 1 and every family
+//	asymbench -scenario fig4a                # one family, paper scale
+//	asymbench -scenario fig4a -scale 0.1     # scaled down (faster)
+//	asymbench -scenario all -scale 0.05      # every family, sorted by name
+//	asymbench -scenario burst-sweep -explain # plus per-policy schedule reports
 //
-// Output is plain text, one table per experiment; see EXPERIMENTS.md for
-// the mapping to the paper's figures and the expected shapes.
+// Output is plain text: each family's throughput table, then any
+// figure-specific view (place shares, per-core times, per-iteration
+// tables); see EXPERIMENTS.md for the mapping to the paper's figures and
+// the expected shapes.
 package main
 
 import (
@@ -21,155 +24,120 @@ import (
 	"strings"
 	"time"
 
-	"dynasym/internal/experiments"
+	"dynasym/internal/core"
 	"dynasym/internal/metrics"
 	"dynasym/internal/scenario"
-	"dynasym/internal/workloads"
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment id (see -list) or 'all'")
-		scenName = flag.String("scenario", "", "named scenario family (see -list)")
-		scale    = flag.Float64("scale", 1.0, "experiment scale: 1.0 = paper scale")
-		seed     = flag.Uint64("seed", 42, "base random seed")
-		progress = flag.Bool("progress", false, "report per-cell progress on stderr while a -scenario runs")
-		explain  = flag.Bool("explain", false, "with -scenario: print per-policy schedule reports (time breakdown, steal matrix, PTT convergence) after the table")
-		list     = flag.Bool("list", false, "list experiment ids and scenario families")
-	)
-	flag.Parse()
-
-	if *list || (*exp == "" && *scenName == "") {
-		fmt.Println("experiments:")
-		for _, n := range experiments.Names() {
-			fmt.Printf("  %s\n", n)
-		}
-		fmt.Println("scenario families (-scenario):")
-		width := 0
-		for _, n := range scenario.Names() {
-			if len(n) > width {
-				width = len(n)
-			}
-		}
-		for _, n := range scenario.Names() {
-			f, _ := scenario.Lookup(n)
-			fmt.Printf("  %-*s  %s\n", width, n, f.Desc)
-		}
-		if *exp == "" && *scenName == "" {
-			os.Exit(2)
-		}
-		return
-	}
-
-	if *scenName != "" {
-		f, ok := scenario.Lookup(*scenName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "asymbench: unknown scenario %q (available: %s)\n",
-				*scenName, strings.Join(scenario.Names(), ", "))
-			os.Exit(1)
-		}
-		spec := f.Spec(*scale)
-		spec.Seed = *seed
-		spec.Probe = *explain
-		if *progress {
-			// The engine reports (done, total) monotonically, once per
-			// finished (policy × point × rep) cell.
-			spec.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells", *scenName, done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-		start := time.Now()
-		res, err := scenario.Run(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asymbench: %v\n", err)
-			os.Exit(1)
-		}
-		res.WriteTable(os.Stdout)
-		fmt.Printf("(%s on %s in %.1fs)\n", *scenName, res.Topo, time.Since(start).Seconds())
-		if *explain {
-			explainResult(res)
-		}
-		if *exp == "" {
-			return
-		}
-	}
-	if *explain && *scenName == "" {
-		fmt.Fprintln(os.Stderr, "asymbench: -explain requires -scenario")
-		os.Exit(1)
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = experiments.Names()
-	}
-	for _, id := range ids {
-		start := time.Now()
-		res, err := run(id, experiments.Scale(*scale), *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asymbench: %v\n", err)
-			os.Exit(1)
-		}
-		res.Render(os.Stdout)
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(id string, scale experiments.Scale, seed uint64) (experiments.Renderer, error) {
-	switch id {
-	case "table1":
-		return experiments.Table1(), nil
-	case "fig4a":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.MatMul, Scale: scale, Seed: seed}), nil
-	case "fig4b":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.Copy, Scale: scale, Seed: seed}), nil
-	case "fig4c":
-		return experiments.Fig4(experiments.Fig4Config{Kernel: workloads.Stencil, Scale: scale, Seed: seed}), nil
-	case "fig5":
-		return experiments.Fig5(experiments.Fig5Config{Scale: scale, Seed: seed}), nil
-	case "fig6":
-		return experiments.Fig6(experiments.Fig5Config{Scale: scale, Seed: seed}), nil
-	case "fig7a":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.MatMul, Scale: scale, Seed: seed}), nil
-	case "fig7b":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.Copy, Scale: scale, Seed: seed}), nil
-	case "fig7c":
-		return experiments.Fig7(experiments.Fig7Config{Kernel: workloads.Stencil, Scale: scale, Seed: seed}), nil
-	case "fig8":
-		return experiments.Fig8(experiments.Fig8Config{Scale: scale, Seed: seed}), nil
-	case "fig9a", "fig9b", "fig9c":
-		res := experiments.Fig9(experiments.Fig9Config{Scale: scale, Seed: seed})
-		switch id {
-		case "fig9b":
-			return placesRenderer{res, "RWS"}, nil
-		case "fig9c":
-			return placesRenderer{res, "DAM-P"}, nil
+// run is the whole command; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("asymbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		scenName = fs.String("scenario", "", "scenario family (see -list) or 'all'")
+		scale    = fs.Float64("scale", 1.0, "family scale in [0, 1]: 1 = paper scale, 0 = default (1)")
+		seed     = fs.Uint64("seed", scenario.DefaultSeed, "random seed")
+		progress = fs.Bool("progress", false, "report per-cell progress on stderr while a family runs")
+		explain  = fs.Bool("explain", false, "print per-policy schedule reports (time breakdown, steal matrix, PTT convergence) after each table")
+		list     = fs.Bool("list", false, "print Table 1 and list the scenario families")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *list || *scenName == "" {
+		writeList(stdout)
+		if *scenName == "" {
+			if *list {
+				return 0
+			}
+			return 2
 		}
-		return res, nil
-	case "fig10":
-		return experiments.Fig10(experiments.Fig10Config{Scale: scale, Seed: seed}), nil
-	case "ablation-alpha":
-		return experiments.AblationAlpha(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-width":
-		return experiments.AblationWidth(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-infer":
-		return experiments.AblationInfer(experiments.AblationConfig{Scale: scale, Seed: seed}), nil
-	case "ablation-steal", "ablation-wake", "ablation-dheft", "ablation-sampled":
-		return experiments.Ablation(experiments.AblationConfig{
-			Variant: strings.TrimPrefix(id, "ablation-"),
-			Scale:   scale,
-			Seed:    seed,
-		})
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
+	}
+	if err := scenario.CheckScale(*scale); err != nil {
+		fmt.Fprintf(stderr, "asymbench: %v\n", err)
+		return 2
+	}
+	names := []string{*scenName}
+	if *scenName == "all" {
+		names = scenario.Names()
+	}
+	for i, name := range names {
+		f, ok := scenario.Lookup(name)
+		if !ok {
+			fmt.Fprintf(stderr, "asymbench: unknown scenario %q (available: all, %s)\n",
+				name, strings.Join(scenario.Names(), ", "))
+			return 1
+		}
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := runFamily(stdout, stderr, f, *scale, *seed, *progress, *explain); err != nil {
+			fmt.Fprintf(stderr, "asymbench: %v\n", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// runFamily runs one family and prints its table, its view and, with
+// explain, its schedule reports.
+func runFamily(stdout, stderr io.Writer, f scenario.Family, scale float64, seed uint64, progress, explain bool) error {
+	start := time.Now()
+	spec := f.Spec(scale, seed)
+	spec.Probe = explain
+	if progress {
+		// The engine reports (done, total) monotonically, once per
+		// finished (policy × point × rep) cell.
+		spec.Progress = func(done, total int) {
+			fmt.Fprintf(stderr, "\r%s: %d/%d cells", f.Name, done, total)
+			if done == total {
+				fmt.Fprintln(stderr)
+			}
+		}
+	}
+	res, err := scenario.Run(spec)
+	if err != nil {
+		return err
+	}
+	res.WriteTable(stdout)
+	if f.View != nil {
+		f.View(stdout, spec, res)
+	}
+	fmt.Fprintf(stdout, "(%s on %s in %.1fs)\n", f.Name, res.Topo, time.Since(start).Seconds())
+	if explain {
+		explainResult(stdout, res)
+	}
+	return nil
+}
+
+// writeList prints the paper's Table 1 (the feature matrix of the
+// implemented policies) and one line per registered family.
+func writeList(w io.Writer) {
+	fmt.Fprintln(w, "# Table 1: features summary of all evaluated schedulers")
+	row := "%-8s  %-22s  %-12s  %s\n"
+	fmt.Fprintf(w, row, "Name", "[A]symmetry awareness", "[M]oldability", "Priority placement")
+	for _, p := range core.All() {
+		f := core.FeaturesOf(p)
+		fmt.Fprintf(w, row, p.Name(), f.Asymmetry, f.Mold, f.Placement)
+	}
+	fmt.Fprintln(w, "\nscenario families (-scenario):")
+	width := 0
+	for _, n := range scenario.Names() {
+		width = max(width, len(n))
+	}
+	for _, n := range scenario.Names() {
+		f, _ := scenario.Lookup(n)
+		fmt.Fprintf(w, "  %-*s  %s\n", width, n, f.Desc)
 	}
 }
 
 // explainResult prints one schedule report per policy, each merged over
 // the policy's full row of cells (every point and repetition).
-func explainResult(res *scenario.Result) {
+func explainResult(w io.Writer, res *scenario.Result) {
 	for pi, pol := range res.Policies {
 		var merged *metrics.Sched
 		for xi := range res.Cells[pi] {
@@ -184,19 +152,7 @@ func explainResult(res *scenario.Result) {
 		if merged == nil {
 			continue
 		}
-		fmt.Printf("\n## schedule report: %s\n", pol)
-		merged.WriteReport(os.Stdout)
-	}
-}
-
-// placesRenderer renders Figure 9b/c from a Fig9 result.
-type placesRenderer struct {
-	res    *experiments.Fig9Result
-	policy string
-}
-
-func (p placesRenderer) Render(w io.Writer) {
-	if err := p.res.RenderPlaces(w, p.policy); err != nil {
-		fmt.Fprintf(os.Stderr, "asymbench: %v\n", err)
+		fmt.Fprintf(w, "\n## schedule report: %s\n", pol)
+		merged.WriteReport(w)
 	}
 }

@@ -19,8 +19,9 @@
 //     timing (package internal/xtr);
 //   - Simulate executes graphs on a deterministic discrete-event model of
 //     an asymmetric platform with controllable interference and DVFS
-//     (package internal/simrt) — this is how the paper's experiments are
-//     reproduced (see internal/experiments and cmd/asymbench).
+//     (package internal/simrt) — this is how the paper's figures are
+//     reproduced: each is a scenario family in internal/scenario, run by
+//     cmd/asymbench -scenario and the cmd/asymd service.
 //
 // A minimal real run:
 //

@@ -21,7 +21,7 @@ import (
 // with load(c) supplied by the runtime (earliest time core c can start new
 // work, 0 when unknown). Unmeasured cores are explored first, like every
 // PTT search in this package. dHEFT is not part of the paper's Table 1; it
-// exists as an extension baseline for the ablation experiments.
+// exists as an extension baseline for the ablation-dheft scenario family.
 type dheft struct{}
 
 func (dheft) Name() string             { return "dHEFT" }
@@ -65,6 +65,20 @@ func DHEFT() Policy { return dheft{} }
 func extraByName(name string) (Policy, bool) {
 	if name == "dHEFT" {
 		return DHEFT(), true
+	}
+	// "<base>+steal" and "<base>-wake" select the ablation wrappers,
+	// e.g. "DAM-C+steal"; the suffix is peeled off before any "~K".
+	for _, w := range []struct {
+		suffix string
+		wrap   func(Policy) Policy
+	}{{"+steal", WithPrioritySteal}, {"-wake", WithoutWake}} {
+		if base, ok := strings.CutSuffix(name, w.suffix); ok {
+			p, err := ByName(base)
+			if err != nil {
+				return nil, false
+			}
+			return w.wrap(p), true
+		}
 	}
 	// "<base>~<K>" selects the sampled O(K) search wrapper, e.g. "DAM-C~8".
 	if i := strings.LastIndex(name, "~"); i > 0 {

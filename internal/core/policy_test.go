@@ -226,6 +226,34 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// The ablation wrappers must round-trip through their names, alone and
+// stacked with the sampled search, so specs that use them survive the
+// canonical codec and the shard wire.
+func TestByNameAblationWrappers(t *testing.T) {
+	for _, name := range []string{"DAM-C+steal", "DAM-P+steal", "DAM-C-wake", "DA-wake", "DAM-C~4+steal", "DAM-C-wake~8"} {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if p.Name() != name {
+			t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
+		}
+	}
+	steal, _ := ByName("DAM-C+steal")
+	if !steal.AllowPrioritySteal() || DAMC().AllowPrioritySteal() {
+		t.Error("+steal did not re-enable priority stealing")
+	}
+	wake, _ := ByName("DAM-C-wake")
+	if _, ok := wake.WakePlace(nil); ok {
+		t.Error("-wake still routes at wake time")
+	}
+	for _, bad := range []string{"+steal", "nope+steal", "nope-wake", "DAM-C+steal~x"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}
+
 func TestAllOrder(t *testing.T) {
 	want := []string{"RWS", "RWSM-C", "FA", "FAM-C", "DA", "DAM-C", "DAM-P"}
 	got := All()

@@ -77,6 +77,29 @@ func (s Sampled) DispatchPlace(ctx *Context) topology.Place {
 	return places[bestID]
 }
 
+// stealablePolicy wraps a policy and re-enables stealing of high-priority
+// tasks, ablating the paper's "disable stealing of high priority tasks"
+// rule. It is named "<base>+steal".
+type stealablePolicy struct{ Policy }
+
+// WithPrioritySteal returns p with stealing of high-priority tasks
+// allowed.
+func WithPrioritySteal(p Policy) Policy { return stealablePolicy{p} }
+
+func (p stealablePolicy) Name() string             { return p.Policy.Name() + "+steal" }
+func (p stealablePolicy) AllowPrioritySteal() bool { return true }
+
+// noWakePolicy wraps a policy and disables wake-time routing, leaving only
+// the dispatch-time decision: newly ready critical tasks stay on the
+// waking worker's queue. It is named "<base>-wake".
+type noWakePolicy struct{ Policy }
+
+// WithoutWake returns p with wake-time routing disabled.
+func WithoutWake(p Policy) Policy { return noWakePolicy{p} }
+
+func (p noWakePolicy) Name() string                   { return p.Policy.Name() + "-wake" }
+func (p noWakePolicy) WakePlace(*Context) (int, bool) { return 0, false }
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

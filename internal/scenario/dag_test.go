@@ -331,16 +331,16 @@ func TestDAGFamiliesRegistered(t *testing.T) {
 			t.Fatalf("family %q not registered", name)
 		}
 		for _, scale := range []float64{1, 0.1, 0.01} {
-			s := f.Spec(scale)
+			s := f.Spec(scale, DefaultSeed)
 			if err := s.Validate(); err != nil {
 				t.Errorf("%s at scale %v: %v", name, scale, err)
 			}
 		}
 	}
-	if s := mustLookup(t, "dag-import-demo").Spec(1); s.Workload.Kind != DAGFile {
+	if s := mustLookup(t, "dag-import-demo").Spec(1, DefaultSeed); s.Workload.Kind != DAGFile {
 		t.Errorf("dag-import-demo is %v, want dagfile", s.Workload.Kind)
 	}
-	if s := mustLookup(t, "cholesky-sweep").Spec(1); s.Workload.Kind != DAGGen {
+	if s := mustLookup(t, "cholesky-sweep").Spec(1, DefaultSeed); s.Workload.Kind != DAGGen {
 		t.Errorf("cholesky-sweep is %v, want daggen", s.Workload.Kind)
 	}
 }
@@ -358,7 +358,7 @@ func mustLookup(t *testing.T, name string) Family {
 // full grid (the family smoke used by CI at scale 0.01 mirrors this).
 func TestCholeskySweepFamilyRuns(t *testing.T) {
 	f := mustLookup(t, "cholesky-sweep")
-	s := f.Spec(0.01)
+	s := f.Spec(0.01, DefaultSeed)
 	s.Policies = []core.Policy{core.RWS(), core.DAMC()}
 	res, err := Run(s)
 	if err != nil {

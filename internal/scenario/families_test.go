@@ -32,7 +32,7 @@ func TestFamiliesValidate(t *testing.T) {
 	for _, name := range Names() {
 		f, _ := Lookup(name)
 		for _, scale := range []float64{1.0, 0.05} {
-			if err := f.Spec(scale).Validate(); err != nil {
+			if err := f.Spec(scale, DefaultSeed).Validate(); err != nil {
 				t.Errorf("family %s at scale %v: %v", name, scale, err)
 			}
 		}
@@ -44,7 +44,7 @@ func TestFamiliesValidate(t *testing.T) {
 // asymmetry-aware scheduler keeps more of it than random stealing.
 func TestBurstFamilyShape(t *testing.T) {
 	f, _ := Lookup("burst-sweep")
-	s := f.Spec(0.05)
+	s := f.Spec(0.05, DefaultSeed)
 	s.Points = ParallelismPoints(2)
 	res, err := Run(s)
 	if err != nil {
@@ -80,7 +80,7 @@ func TestBurstFamilyShape(t *testing.T) {
 // fast cluster.
 func TestThrottleFamilyShape(t *testing.T) {
 	f, _ := Lookup("throttle-ramp")
-	s := f.Spec(0.05)
+	s := f.Spec(0.05, DefaultSeed)
 	s.Points = ParallelismPoints(4)
 	res, err := Run(s)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestThrottleFamilyShape(t *testing.T) {
 // tiny scale and check the sampled search keeps up with the full search.
 func TestScaleOutFamilyRuns(t *testing.T) {
 	f, _ := Lookup("scaleout-64")
-	s := f.Spec(0.04)
+	s := f.Spec(0.04, DefaultSeed)
 	s.Points = ParallelismPoints(16)
 	res, err := Run(s)
 	if err != nil {

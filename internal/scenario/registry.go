@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -11,12 +12,31 @@ import (
 )
 
 // Family is a named scenario generator. The scale argument shrinks task
-// counts and time windows together (1.0 = full scale), so a family behaves
-// the same shape-wise at test scale as at paper scale.
+// counts and time windows together (1.0 = full scale, 0 = the default 1),
+// so a family behaves the same shape-wise at test scale as at paper scale;
+// the seed drives all of the run's randomness (DefaultSeed unless the
+// caller overrides it).
 type Family struct {
 	Name string
 	Desc string
-	Spec func(scale float64) Spec
+	Spec func(scale float64, seed uint64) Spec
+	// View, when non-nil, renders what Result.WriteTable cannot show
+	// (place shares, per-core times, per-iteration tables) for a result
+	// of Spec.
+	View func(w io.Writer, s Spec, res *Result)
+}
+
+// DefaultSeed is the seed every family runs with unless told otherwise.
+const DefaultSeed = 42
+
+// CheckScale rejects scale factors a family cannot honour: NaN, ±Inf and
+// anything outside [0, 1]. Zero is accepted and means the default, 1 —
+// it is what an omitted JSON scale decodes to.
+func CheckScale(scale float64) error {
+	if !(scale >= 0 && scale <= 1) {
+		return fmt.Errorf("scenario: scale %v outside [0, 1] (0 means the default, 1)", scale)
+	}
+	return nil
 }
 
 var (
@@ -81,13 +101,13 @@ func ParallelismPoints(ps ...int) []Point {
 	return pts
 }
 
-// The built-in families extend the paper's evaluation with conditions it
-// never ran. They are referenced by name from cmd/asymbench -scenario.
+// The families below extend the paper's evaluation with conditions it
+// never ran; paper.go registers the paper's own figures and ablations.
 func init() {
 	Register(Family{
 		Name: "burst-sweep",
 		Desc: "TX2 MatMul under phase-shifted bursty co-runners sweeping the A57 cluster (plus an independent burst on Denver core 1)",
-		Spec: func(scale float64) Spec {
+		Spec: func(scale float64, seed uint64) Spec {
 			f := clampScale(scale)
 			return Spec{
 				Name:     "burst-sweep",
@@ -102,14 +122,14 @@ func init() {
 				},
 				Policies: core.All(),
 				Points:   ParallelismPoints(2, 4, 6),
-				Seed:     42,
+				Seed:     seed,
 			}
 		},
 	})
 	Register(Family{
 		Name: "throttle-ramp",
 		Desc: "TX2 Stencil while the Denver cluster thermal-throttles to 30% mid-run and never recovers",
-		Spec: func(scale float64) Spec {
+		Spec: func(scale float64, seed uint64) Spec {
 			f := clampScale(scale)
 			return Spec{
 				Name:     "throttle-ramp",
@@ -123,14 +143,14 @@ func init() {
 				},
 				Policies: core.All(),
 				Points:   ParallelismPoints(2, 4, 6),
-				Seed:     42,
+				Seed:     seed,
 			}
 		},
 	})
 	Register(Family{
 		Name: "cholesky-sweep",
 		Desc: "tiled Cholesky DAGs (POTRF/TRSM/SYRK/GEMM) on TX2 under a bursty A57 co-runner, sweeping the tile-grid edge",
-		Spec: func(scale float64) Spec {
+		Spec: func(scale float64, seed uint64) Spec {
 			f := clampScale(scale)
 			// Scale shrinks the tile grids (task count is ~T³/6) while
 			// the labels keep naming the nominal size, so a 0.1-scale
@@ -148,14 +168,14 @@ func init() {
 				},
 				Policies: core.All(),
 				Points:   pts,
-				Seed:     42,
+				Seed:     seed,
 			}
 		},
 	})
 	Register(Family{
 		Name: "random-layered",
 		Desc: "seeded random layered DAGs (mixed cpu/mem/mix task classes) on TX2 with a throttling Denver cluster, sweeping layer width",
-		Spec: func(scale float64) Spec {
+		Spec: func(scale float64, seed uint64) Spec {
 			f := clampScale(scale)
 			return Spec{
 				Name:     "random-layered",
@@ -171,14 +191,14 @@ func init() {
 				},
 				Policies: core.All(),
 				Points:   ParallelismPoints(4, 8, 16),
-				Seed:     42,
+				Seed:     seed,
 			}
 		},
 	})
 	Register(Family{
 		Name: "dag-import-demo",
 		Desc: "the bundled examples/dag/demo.dot graph through the DOT importer under a paper-style DVFS wave (scale only trims reps; imported graphs have fixed shape)",
-		Spec: func(scale float64) Spec {
+		Spec: func(scale float64, seed uint64) Spec {
 			reps := 3
 			if clampScale(scale) < 0.5 {
 				reps = 1
@@ -190,7 +210,7 @@ func init() {
 				Disturb:  []Disturbance{PaperDVFS(1)},
 				Policies: core.All(),
 				Reps:     reps,
-				Seed:     42,
+				Seed:     seed,
 			}
 		},
 	})
@@ -207,7 +227,7 @@ func init() {
 		Register(Family{
 			Name: fmt.Sprintf("scaleout-%d", shape.cores),
 			Desc: fmt.Sprintf("%d-core %d-cluster big/little platform exercising the O(K) Sampled search at high parallelism", shape.cores, shape.clusters),
-			Spec: func(scale float64) Spec {
+			Spec: func(scale float64, seed uint64) Spec {
 				f := clampScale(scale)
 				// One slow burst per little (odd) cluster, phase-staggered
 				// across clusters, keeps the asymmetry dynamic at scale.
@@ -234,7 +254,7 @@ func init() {
 						core.NewSampled(core.DAMC(), 32),
 					},
 					Points: ParallelismPoints(8, 16),
-					Seed:   42,
+					Seed:   seed,
 				}
 			},
 		})

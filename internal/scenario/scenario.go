@@ -4,12 +4,13 @@
 // sweep axis; Run validates it, executes every (policy × point × repetition)
 // cell on a bounded worker pool, and returns the aggregated metrics.
 //
-// The experiment drivers in internal/experiments are thin spec tables over
-// this engine: each paper figure is one Spec literal plus a renderer. New
-// platform/interference/workload combinations cost a struct literal, not a
-// new driver — see the registry in this package for families the paper
-// never ran (bursty phase-shifted interference, thermal-throttle ramps,
-// 16–64-core scale-out platforms).
+// Every run is a Spec, and the named ones are registered Families: the
+// paper's figures and ablations (paper.go) and families the paper never
+// ran (registry.go: bursty phase-shifted interference, thermal-throttle
+// ramps, 16–64-core scale-out platforms, imported and generated DAGs).
+// A family is a Spec generator plus an optional view for what the
+// throughput table cannot show; a new platform/interference/workload
+// combination costs a struct literal, not a new driver.
 //
 // Determinism: a Spec plus its Seed fully determine every metric of every
 // cell, bit for bit, regardless of the worker pool's interleaving. Each

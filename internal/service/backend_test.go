@@ -74,6 +74,26 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	}
 }
 
+// TestPaperFamiliesShareCells: Figure 5 is Figure 4a's P=2 column read
+// out differently, so after fig4a runs, fig5 must be served entirely from
+// the cell cache — one cell per Table-1 policy, nothing simulated.
+func TestPaperFamiliesShareCells(t *testing.T) {
+	m := NewManager(Config{Workers: 2})
+	ja, _, err := m.SubmitFamily("fig4a", 0.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ja)
+	jb, _, err := m.SubmitFamily("fig5", 0.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, jb)
+	if st := jb.Snapshot(); st.CellHits != 7 || st.CellMisses != 0 {
+		t.Errorf("fig5 after fig4a: %d cell hits / %d misses, want 7 / 0", st.CellHits, st.CellMisses)
+	}
+}
+
 // TestRemoteBackendFingerprint runs a job whose every shard executes on a
 // peer node over POST /v1/shards, for every Table-1 policy at once, and
 // requires the merged fingerprint to be bit-identical to a direct

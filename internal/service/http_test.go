@@ -190,23 +190,50 @@ func TestHTTPConcurrentIdenticalPosts(t *testing.T) {
 	}
 }
 
-// TestHTTPFamilySubmit submits a registered family by name.
+// TestHTTPFamilySubmit submits registered families by name, including a
+// paper figure whose spec runs its own calibration (Figure 9a).
 func TestHTTPFamilySubmit(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 2})
-	st, code := postJob(t, srv.URL, `{"family": "burst-sweep", "scale": 0.001}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST family: status %d", code)
+	for _, tc := range []struct {
+		family string
+		scale  float64
+	}{{"burst-sweep", 0.001}, {"fig9a", 0.05}} {
+		st, code := postJob(t, srv.URL, fmt.Sprintf(`{"family": %q, "scale": %v}`, tc.family, tc.scale))
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s: status %d", tc.family, code)
+		}
+		final := pollDone(t, srv.URL, st.ID)
+		if final.State != "done" {
+			t.Fatalf("%s job finished as %q: %s", tc.family, final.State, final.Error)
+		}
+		var res ResultResponse
+		if code := getJSON(t, srv.URL+"/v1/results/"+st.ID, &res); code != http.StatusOK {
+			t.Fatalf("GET %s result: status %d", tc.family, code)
+		}
+		if res.Name != tc.family || res.Fingerprint == "" {
+			t.Errorf("%s result name=%q fingerprint empty=%v", tc.family, res.Name, res.Fingerprint == "")
+		}
 	}
-	final := pollDone(t, srv.URL, st.ID)
-	if final.State != "done" {
-		t.Fatalf("family job finished as %q: %s", final.State, final.Error)
-	}
-	var res ResultResponse
-	if code := getJSON(t, srv.URL+"/v1/results/"+st.ID, &res); code != http.StatusOK {
-		t.Fatalf("GET family result: status %d", code)
-	}
-	if res.Name != "burst-sweep" || res.Fingerprint == "" {
-		t.Errorf("family result name=%q fingerprint empty=%v", res.Name, res.Fingerprint == "")
+}
+
+// TestHTTPRejectsBadScale: a family scale outside [0, 1] is a 400 whose
+// error names the accepted range, never a silent full-scale run.
+func TestHTTPRejectsBadScale(t *testing.T) {
+	_, srv := newTestServer(t, Config{})
+	for _, scale := range []string{"-0.5", "2", "1e400"} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"family": "burst-sweep", "scale": `+scale+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scale %s: status %d, want 400", scale, resp.StatusCode)
+		}
+		if scale != "1e400" && !strings.Contains(string(body), "[0, 1]") {
+			t.Errorf("scale %s: error %s does not name the range", scale, body)
+		}
 	}
 }
 
@@ -255,8 +282,9 @@ func TestHTTPHealthzAndFamilies(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/families", &fams); code != http.StatusOK {
 		t.Fatalf("families status %d", code)
 	}
-	if len(fams) != len(scenario.Names()) {
-		t.Fatalf("%d families, want %d", len(fams), len(scenario.Names()))
+	// 8 extension families plus 23 paper figures and ablations.
+	if len(fams) != len(scenario.Names()) || len(fams) != 31 {
+		t.Fatalf("%d families, want %d (registry) and 31", len(fams), len(scenario.Names()))
 	}
 	for _, f := range fams {
 		if f.Name == "" || f.Desc == "" {

@@ -446,7 +446,7 @@ func (m *Manager) submit(spec scenario.Spec, reqID string) (job *Job, existing b
 }
 
 // SubmitFamily resolves a registered scenario family at a scale (seed
-// optionally overriding the family default) and submits it.
+// optionally overriding scenario.DefaultSeed) and submits it.
 func (m *Manager) SubmitFamily(name string, scale float64, seed *uint64) (*Job, bool, error) {
 	return m.submitFamily(name, scale, seed, "")
 }
@@ -456,11 +456,14 @@ func (m *Manager) submitFamily(name string, scale float64, seed *uint64, reqID s
 	if !ok {
 		return nil, false, fmt.Errorf("service: unknown scenario family %q (known: %v)", name, scenario.Names())
 	}
-	spec := f.Spec(scale)
-	if seed != nil {
-		spec.Seed = *seed
+	if err := scenario.CheckScale(scale); err != nil {
+		return nil, false, err
 	}
-	return m.submit(spec, reqID)
+	s := uint64(scenario.DefaultSeed)
+	if seed != nil {
+		s = *seed
+	}
+	return m.submit(f.Spec(scale, s), reqID)
 }
 
 // execute runs one job: plan, serve cells from cache, dispatch the
