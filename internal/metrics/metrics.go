@@ -48,9 +48,6 @@ type Collector struct {
 	// Reset cycles so pooled runtimes reach a steady state with no
 	// per-iteration allocations.
 	aggFree []*iterAgg
-	// sched is the scheduler-introspection aggregate a probe-enabled run
-	// attaches at completion (see sched.go); nil when no probe ran.
-	sched *Sched
 }
 
 // iterAgg is the collector's internal per-iteration accumulator.
@@ -159,7 +156,6 @@ func (c *Collector) Reset(topo *topology.Platform) {
 	}
 	c.tasksDone = 0
 	c.makespan = 0
-	c.sched = nil
 }
 
 // TaskDone records one completed task execution.

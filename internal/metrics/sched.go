@@ -1,10 +1,11 @@
 package metrics
 
 // Scheduler-introspection telemetry. A simrt.Probe accumulates raw
-// observations during a run and flushes them here as a Sched aggregate;
-// the scenario layer copies the aggregate into each cell's RunMetrics, the
-// shard wire format carries it between nodes (plain JSON fields), and
-// Merge folds per-cell aggregates into per-policy or per-result views.
+// observations during a run and simrt.Runtime.Sched renders them as a
+// Sched aggregate; the scenario layer copies the aggregate into each
+// cell's RunMetrics, the shard wire format carries it between nodes (plain
+// JSON fields), and Merge folds per-cell aggregates into per-policy or
+// per-result views (Beside places a distributed cell's nodes side by side).
 // Every field is a sum or a maximum so merging stays exact; the derived
 // rates (mean queue depth, PTT error) are methods over the sums.
 
@@ -50,20 +51,6 @@ type Sched struct {
 	PTTErrSum      float64
 	PTTTailSamples int64
 	PTTTailErrSum  float64
-}
-
-// SetSched attaches a run's scheduler telemetry to the collector.
-func (c *Collector) SetSched(s *Sched) {
-	c.mu.Lock()
-	c.sched = s
-	c.mu.Unlock()
-}
-
-// Sched returns the telemetry attached by SetSched, or nil.
-func (c *Collector) Sched() *Sched {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sched
 }
 
 // TotalSteals sums the steal matrix (both priorities).
@@ -157,6 +144,30 @@ func (s *Sched) Merge(o *Sched) {
 		})
 	}
 	s.Span += o.Span
+	s.addTotals(o)
+}
+
+// Beside places the aggregate of a run that shared s's virtual clock — the
+// next node of a distributed cell — next to s: o's cores follow s's (its
+// steal edges shift by len(s.Busy), keeping the matrix victim-major), Span
+// is the longer of the two, and the queue and PTT totals add.
+func (s *Sched) Beside(o *Sched) {
+	off := len(s.Busy)
+	s.Busy = append(s.Busy, o.Busy...)
+	s.Dispatch = append(s.Dispatch, o.Dispatch...)
+	s.Steal = append(s.Steal, o.Steal...)
+	s.Idle = append(s.Idle, o.Idle...)
+	for _, e := range o.StealMatrix {
+		e.Victim += off
+		e.Thief += off
+		s.StealMatrix = append(s.StealMatrix, e)
+	}
+	s.Span = max(s.Span, o.Span)
+	s.addTotals(o)
+}
+
+// addTotals folds o's queue and PTT sums and maxima into s.
+func (s *Sched) addTotals(o *Sched) {
 	s.QueueSamples += o.QueueSamples
 	s.ReadySec += o.ReadySec
 	s.CommittedSec += o.CommittedSec

@@ -27,36 +27,37 @@ import (
 )
 
 // CellState is reusable per-worker scratch for RunCellState: the simulation
-// engine, whose event tiers keep their capacity across cells, and the
-// simulated runtime, whose queues, pools, and per-core state are recycled
-// via Runtime.Reset. A CellState must not be used by two cells
-// concurrently; a nil *CellState is valid and makes RunCellState allocate
-// fresh state (RunCell's path).
+// engine, whose event tiers keep their capacity across cells, and one
+// simulated runtime and one probe per node index, whose queues, pools and
+// per-core state are recycled via Runtime.Reset. A CellState must not be
+// used by two cells concurrently; a nil *CellState is valid and makes
+// RunCellState allocate fresh state (RunCell's path).
 type CellState struct {
 	engine *sim.Engine
-	// rt is lazily captured by the first cell the state runs and reset for
-	// every cell after it. Reuse is pure mechanism: a reset runtime is
-	// bit-identical to a fresh one.
-	rt *simrt.Runtime
-	// probe is the worker's reusable introspection probe for probed specs;
-	// the runtime re-zeros it per cell, and flushed aggregates are deep
-	// copies, so reuse never leaks telemetry across cells.
-	probe *simrt.Probe
+	// rts and probes are indexed by node. Entries are created by the
+	// first cell that needs them and reset for every cell after it. Reuse
+	// is pure mechanism: a reset runtime is bit-identical to a fresh one,
+	// the runtime re-zeros its probe per cell, and rendered aggregates are
+	// deep copies, so reuse never leaks telemetry across cells.
+	rts    []*simrt.Runtime
+	probes []*simrt.Probe
 }
 
 // NewCellState returns scratch state for one sweep worker.
 func NewCellState() *CellState { return &CellState{engine: sim.New()} }
 
-// probeFor returns the worker's reusable probe, or a fresh one when the
-// caller keeps no state.
-func (st *CellState) probeFor() *simrt.Probe {
+// nodes returns the per-node runtime and probe slots for an n-node cell:
+// the state's pools, grown as needed, or fresh empty slots when the caller
+// keeps no state. Empty slots are filled by the cell that runs on them.
+func (st *CellState) nodes(n int) ([]*simrt.Runtime, []*simrt.Probe) {
 	if st == nil {
-		return simrt.NewProbe()
+		return make([]*simrt.Runtime, n), make([]*simrt.Probe, n)
 	}
-	if st.probe == nil {
-		st.probe = simrt.NewProbe()
+	for len(st.rts) < n {
+		st.rts = append(st.rts, nil)
+		st.probes = append(st.probes, nil)
 	}
-	return st.probe
+	return st.rts[:n], st.probes[:n]
 }
 
 // engineFor returns the engine a cell should run on: the reset per-worker

@@ -6,12 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dynasym/internal/core"
 	"dynasym/internal/dag"
 	"dynasym/internal/interfere"
 	"dynasym/internal/machine"
 	"dynasym/internal/metrics"
-	"dynasym/internal/sim"
 	"dynasym/internal/simnet"
 	"dynasym/internal/simrt"
 	"dynasym/internal/topology"
@@ -143,87 +141,57 @@ func MustRun(s Spec) *Result {
 	return res
 }
 
-// runCell executes one repetition of one cell. cw, when non-nil, supplies
-// the point's compiled workload (graph instances come from its pool instead
-// of the builder); st, when non-nil, supplies the worker's reusable engine.
-// rec, when non-nil, receives the cell's schedule trace; probe, when
-// non-nil, records scheduler introspection into RunMetrics.Sched (and,
-// when rec is also set, emits queue/PTT/utilization counter lanes). All
-// four are pure mechanism — they never change the metrics.
-func runCell(s Spec, pol core.Policy, pt Point, seed uint64, cw *compiledWorkload, st *CellState, rec *trace.Recorder, probe *simrt.Probe) (RunMetrics, error) {
+// runCell executes one repetition of one cell: one runtime per node — a
+// single one for every kind but HeatDist — all on one engine, started in
+// node order and drained by one Engine.Run. st, when non-nil, supplies the
+// worker's reusable engine, runtimes and probes; rec, when non-nil,
+// receives the cell's schedule trace; probed attaches a probe per node and
+// fills RunMetrics.Sched (and, with rec, emits queue/PTT/utilization
+// counter lanes). The trace and Sched place the nodes side by side, node
+// k's cores renumbered from k×cores. None of these change the metrics,
+// which carry the cell's seed.
+func (p *Plan) runCell(st *CellState, c CellJob, rec *trace.Recorder, probed bool) (RunMetrics, error) {
+	s := p.Spec
+	if c.Policy < 0 || c.Policy >= len(s.Policies) || c.Point < 0 || c.Point >= len(s.Points) {
+		return RunMetrics{}, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
+			s.Name, c.Policy, c.Point, len(s.Policies), len(s.Points))
+	}
+	if hook := runCellHook; hook != nil {
+		if rm, err, handled := hook(p, c); handled {
+			return rm, err
+		}
+	}
+	pt := s.Points[c.Point]
+	// cw is the point's compiled workload: single-node graph instances
+	// come from its pool instead of the builder.
+	var cw *compiledWorkload
+	if p.compiled != nil {
+		cw = p.compiled[c.Point]
+	}
+	engine := st.engineFor()
+	nodes := 1
+	var hd *workloads.HeatDist
+	var net *simnet.Network
 	if s.Workload.Kind == HeatDist {
-		return runDistCell(s, pol, pt, seed)
+		hd = workloads.NewHeatDist(s.Workload.Heat)
+		net = simnet.New(engine, s.Latency, s.Bandwidth)
+		nodes = hd.Nodes
 	}
-	topo, err := s.Platform.Build()
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	model := machine.New(topo)
-	for _, d := range s.Disturb {
-		d.apply(model)
-	}
-	var g *dag.Graph
-	if cw != nil {
-		g, err = cw.acquire()
-	} else {
-		g, err = buildGraph(s.Workload, pt)
-	}
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	cfg := simrt.Config{
-		Topo:   topo,
-		Model:  model,
-		Policy: pol,
-		Alpha:  cellAlpha(s, pt),
-		Seed:   seed,
-		Trace:  rec,
-		Probe:  probe,
-		Engine: st.engineFor(),
-	}
-	var rt *simrt.Runtime
-	if st != nil && st.rt != nil {
-		// Warm worker: recycle the runtime's allocations. Reset replays
-		// New's exact construction sequence, so the cell's metrics cannot
-		// depend on what ran before.
-		rt = st.rt
-		if err := rt.Reset(cfg); err != nil {
-			return RunMetrics{}, err
-		}
-	} else {
-		rt, err = simrt.New(cfg)
-		if err != nil {
-			return RunMetrics{}, err
-		}
-		if st != nil {
-			st.rt = rt
+	rts, probes := st.nodes(nodes)
+	var recs []*trace.Recorder // per-node recorders, nil when untraced
+	if rec != nil {
+		recs = []*trace.Recorder{rec}
+		if nodes > 1 {
+			// Nodes record privately and fold into rec after the run,
+			// when their cores move to the cell-wide numbering.
+			recs = make([]*trace.Recorder, nodes)
+			for i := range recs {
+				recs[i] = trace.New()
+			}
 		}
 	}
-	coll, err := rt.Run(g)
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	rm := collectRun(coll, rt)
-	if probe != nil && rec != nil {
-		probe.EmitCounters(rec, 0)
-		rec.AddUtilCounters(0, rm.Makespan)
-	}
-	// Recycle the instance only after a clean run; a stalled or failed
-	// graph is dropped rather than reset.
-	if cw != nil {
-		cw.release(g)
-	}
-	return rm, nil
-}
-
-// runDistCell executes one distributed heat repetition: one runtime per
-// node sharing a virtual clock and a simulated interconnect.
-func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, error) {
-	engine := sim.New()
-	net := simnet.New(engine, s.Latency, s.Bandwidth)
-	hd := workloads.NewHeatDist(s.Workload.Heat)
-	runtimes := make([]*simrt.Runtime, hd.Nodes)
-	for node := 0; node < hd.Nodes; node++ {
+	var g *dag.Graph // the last node's graph: cw's instance on single-node cells
+	for node := 0; node < nodes; node++ {
 		topo, err := nodePlatform(s, node)
 		if err != nil {
 			return RunMetrics{}, err
@@ -234,46 +202,103 @@ func runDistCell(s Spec, pol core.Policy, pt Point, seed uint64) (RunMetrics, er
 				d.apply(model)
 			}
 		}
-		rt, err := simrt.New(simrt.Config{
+		cfg := simrt.Config{
 			Topo:   topo,
 			Model:  model,
-			Policy: pol,
+			Policy: s.Policies[c.Policy],
 			Alpha:  cellAlpha(s, pt),
-			Seed:   seed + uint64(node)*nodeSeedStride,
+			Seed:   c.Seed + uint64(node)*nodeSeedStride,
 			Engine: engine,
-			Hook:   hd.Hook(net),
-		})
+		}
+		if recs != nil {
+			cfg.Trace = recs[node]
+		}
+		switch {
+		case hd != nil:
+			g = hd.BuildNode(node)
+			cfg.Hook = hd.Hook(net)
+		case cw != nil:
+			g, err = cw.acquire()
+		default:
+			g, err = buildGraph(s.Workload, pt)
+		}
 		if err != nil {
 			return RunMetrics{}, err
 		}
-		if err := rt.Start(hd.BuildNode(node)); err != nil {
-			return RunMetrics{}, fmt.Errorf("start node %d: %w", node, err)
+		if probed {
+			if probes[node] == nil {
+				probes[node] = simrt.NewProbe()
+			}
+			cfg.Probe = probes[node]
 		}
-		runtimes[node] = rt
+		// A pooled runtime is recycled with Reset, which replays New's
+		// exact construction sequence, so the cell's metrics cannot
+		// depend on what ran before.
+		if rts[node] == nil {
+			rts[node], err = simrt.New(cfg)
+		} else {
+			err = rts[node].Reset(cfg)
+		}
+		if err != nil {
+			return RunMetrics{}, err
+		}
+		if err := rts[node].Start(g); err != nil {
+			return RunMetrics{}, nodeErr(net, node, err)
+		}
 	}
 	engine.Run()
-	var rm RunMetrics
-	hists := make([][]metrics.PlaceShare, 0, hd.Nodes)
-	for node, rt := range runtimes {
-		if !rt.Finished() {
-			return RunMetrics{}, fmt.Errorf("node %d stalled (pending msgs: %d)", node, net.Pending())
+	for node, rt := range rts {
+		if err := rt.Check(); err != nil {
+			return RunMetrics{}, nodeErr(net, node, err)
 		}
-		part := collectRun(rt.Collector(), rt)
-		if part.Makespan > rm.Makespan {
-			rm.Makespan = part.Makespan
-		}
-		rm.TasksDone += part.TasksDone
-		rm.CoreBusy = append(rm.CoreBusy, part.CoreBusy...)
-		rm.Steals += part.Steals
-		rm.FailedSteals += part.FailedSteals
-		rm.Dispatches += part.Dispatches
-		hists = append(hists, part.HighHist)
 	}
-	rm.HighHist = mergeHists(hists...)
-	if rm.Makespan > 0 {
-		rm.Throughput = float64(rm.TasksDone) / rm.Makespan
+	rm := collectRun(rts)
+	rm.Seed = c.Seed
+	if rec != nil {
+		off := 0
+		for node, rt := range rts {
+			if probed {
+				probes[node].EmitCounters(recs[node], 0)
+			}
+			if nodes > 1 {
+				foldNodeTrace(rec, recs[node], node, off)
+			}
+			off += rt.Collector().Platform().NumCores()
+		}
+		if probed {
+			rec.AddUtilCounters(0, rm.Makespan)
+		}
+	}
+	// Recycle the instance only after a clean run; a stalled or failed
+	// graph is dropped rather than reset.
+	if cw != nil {
+		cw.release(g)
 	}
 	return rm, nil
+}
+
+// nodeErr names the node, and the interconnect's unmatched messages, in a
+// distributed cell's error; single-node errors pass through.
+func nodeErr(net *simnet.Network, node int, err error) error {
+	if net == nil {
+		return err
+	}
+	return fmt.Errorf("node %d (pending msgs: %d): %w", node, net.Pending(), err)
+}
+
+// foldNodeTrace copies one node's private trace into the cell recorder,
+// moving its cores to [off, off+cores) and naming its counter lanes after
+// the node.
+func foldNodeTrace(dst, src *trace.Recorder, node, off int) {
+	for _, ev := range src.Events() {
+		ev.Core += off
+		ev.Leader += off
+		dst.Add(ev)
+	}
+	for _, cp := range src.Counters() {
+		cp.Name = fmt.Sprintf("%s (node %d)", cp.Name, node)
+		dst.AddCounter(cp)
+	}
 }
 
 // nodePlatform builds the platform for one distributed node. The
@@ -386,8 +411,47 @@ func (d Disturbance) apply(m *machine.Model) {
 	}
 }
 
-// collectRun extracts RunMetrics from one runtime's collector.
-func collectRun(coll *metrics.Collector, rt *simrt.Runtime) RunMetrics {
+// collectRun extracts RunMetrics from a cell's node runtimes. A single
+// node's metrics pass through as its collector reports them. Distributed
+// nodes merge: the makespan is the latest node's and throughput is
+// recomputed over it, counts add, the high-priority histograms merge, and
+// the per-core views (CoreBusy, Sched) place the nodes side by side in node
+// order, Sched rendering every node over the cell's makespan.
+func collectRun(rts []*simrt.Runtime) RunMetrics {
+	if len(rts) == 1 {
+		return nodeRun(rts[0])
+	}
+	var rm RunMetrics
+	hists := make([][]metrics.PlaceShare, 0, len(rts))
+	for _, rt := range rts {
+		part := nodeRun(rt)
+		rm.Makespan = max(rm.Makespan, part.Makespan)
+		rm.TasksDone += part.TasksDone
+		rm.CoreBusy = append(rm.CoreBusy, part.CoreBusy...)
+		rm.Steals += part.Steals
+		rm.FailedSteals += part.FailedSteals
+		rm.Dispatches += part.Dispatches
+		hists = append(hists, part.HighHist)
+	}
+	rm.HighHist = mergeHists(hists...)
+	if rm.Makespan > 0 {
+		rm.Throughput = float64(rm.TasksDone) / rm.Makespan
+	}
+	for _, rt := range rts {
+		if s := rt.Sched(rm.Makespan); s != nil {
+			if rm.Sched == nil {
+				rm.Sched = s
+			} else {
+				rm.Sched.Beside(s)
+			}
+		}
+	}
+	return rm
+}
+
+// nodeRun extracts RunMetrics from one runtime's collector.
+func nodeRun(rt *simrt.Runtime) RunMetrics {
+	coll := rt.Collector()
 	rm := RunMetrics{
 		Throughput: coll.Throughput(),
 		Makespan:   coll.Makespan(),
@@ -395,7 +459,7 @@ func collectRun(coll *metrics.Collector, rt *simrt.Runtime) RunMetrics {
 		CoreBusy:   coll.CoreBusy(),
 		HighHist:   coll.PlaceHistogram(true),
 		Iters:      coll.IterStats(),
-		Sched:      coll.Sched(),
+		Sched:      rt.Sched(coll.Makespan()),
 	}
 	for _, st := range rt.CoreStats() {
 		rm.Steals += st.Steals

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"dynasym/internal/simrt"
 	"dynasym/internal/trace"
 )
 
@@ -58,10 +57,10 @@ type Plan struct {
 	Cells []CellJob
 
 	// compiled holds, per point index, the shared compiled workload the
-	// point's cells run on (nil for HeatDist, whose cells build their own
-	// multi-node state). Compilation is lazy: entries compile on the
-	// first cell that runs, so plans that are merged purely from cached
-	// results never build a graph.
+	// point's cells run on (nil for a workload kind with no compiled form,
+	// whose cells build their graphs per run). Compilation is lazy:
+	// entries compile on the first cell that runs, so plans that are
+	// merged purely from cached results never build a graph.
 	compiled []*compiledWorkload
 	// variant maps each point index to a dense workload-variant id —
 	// points with equal ids share one compiled graph. Backends group
@@ -110,7 +109,7 @@ func NewPlan(s Spec) (*Plan, error) {
 	}
 	p := &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
 		compiled: compiled, variant: variant}
-	if s.Trace != nil && s.Workload.Kind != HeatDist {
+	if s.Trace != nil {
 		p.cellRecs = make([]*trace.Recorder, len(cells))
 		for i := range p.cellRecs {
 			p.cellRecs[i] = trace.New()
@@ -185,37 +184,15 @@ func (p *Plan) RunCell(c CellJob) (RunMetrics, error) {
 
 // RunCellState is RunCell with caller-owned scratch state: a sweep worker
 // allocates one CellState and passes it to every cell it runs, so engine
-// event storage is reused across the sweep. The state never influences the
-// metrics — RunCellState(st, c) and RunCell(c) are bit-identical. A nil
-// state is valid (RunCell's path).
+// event storage, runtimes and probes are reused across the sweep. The state
+// never influences the metrics — RunCellState(st, c) and RunCell(c) are
+// bit-identical. A nil state is valid (RunCell's path).
 func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
-	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
-		return RunMetrics{}, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
-			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
-	}
-	if hook := runCellHook; hook != nil {
-		if rm, err, handled := hook(p, c); handled {
-			return rm, err
-		}
-	}
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
-	}
 	var rec *trace.Recorder
-	if p.cellRecs != nil {
-		rec = p.cellRecs[p.cellIndex(c)]
+	if i := p.cellIndex(c); i >= 0 && i < len(p.cellRecs) {
+		rec = p.cellRecs[i]
 	}
-	var probe *simrt.Probe
-	if p.Spec.Probe && p.Spec.Workload.Kind != HeatDist {
-		probe = st.probeFor()
-	}
-	rm, err := runCell(p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed, cw, st, rec, probe)
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	rm.Seed = c.Seed
-	return rm, nil
+	return p.runCell(st, c, rec, p.Spec.Probe)
 }
 
 // cellIndex returns a cell's position in the plan's grid enumeration.
@@ -232,23 +209,11 @@ func (p *Plan) cellIndex(c CellJob) int {
 // queue-depth, ready-task, PTT-error and per-core-utilization counter
 // lanes; the returned metrics carry the Sched aggregate.
 func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
-	if p.Spec.Workload.Kind == HeatDist {
-		return RunMetrics{}, nil, fmt.Errorf("scenario %q: sim tracing is not supported for distributed scenarios", p.Spec.Name)
-	}
-	if c.Policy < 0 || c.Policy >= len(p.Spec.Policies) || c.Point < 0 || c.Point >= len(p.Spec.Points) {
-		return RunMetrics{}, nil, fmt.Errorf("scenario %q: cell (%d,%d) outside the %dx%d grid",
-			p.Spec.Name, c.Policy, c.Point, len(p.Spec.Policies), len(p.Spec.Points))
-	}
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
-	}
 	rec := trace.New()
-	rm, err := runCell(p.Spec, p.Spec.Policies[c.Policy], p.Spec.Points[c.Point], c.Seed, cw, nil, rec, simrt.NewProbe())
+	rm, err := p.runCell(nil, c, rec, true)
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	rm.Seed = c.Seed
 	return rm, rec, nil
 }
 

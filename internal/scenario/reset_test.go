@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 
 	"dynasym/internal/core"
@@ -150,5 +151,52 @@ func TestRuntimeReuseAllocs(t *testing.T) {
 	// (TestResetAllocs in simrt pins that directly).
 	if warm > 0.7*fresh {
 		t.Errorf("warm reused cell costs %.0f allocs, fresh costs %.0f; reuse should save at least 30%%", warm, fresh)
+	}
+}
+
+// Distributed Heat cells pool one runtime per node on the worker's
+// CellState. Driving one state through Heat grids of different node counts,
+// with a single-node cell in between, must reproduce every cell's fresh
+// RunCell result bit for bit.
+func TestHeatDistPooledStateMatchesFresh(t *testing.T) {
+	heat := func(nodes int) Spec {
+		return Spec{
+			Name:     "heat-pooled",
+			Platform: PlatformSpec{Preset: "haswell-node"},
+			Workload: WorkloadSpec{Kind: HeatDist, Heat: workloads.HeatDistConfig{Nodes: nodes, Iters: 5, BlocksPerNode: 16}},
+			Disturb:  []Disturbance{{Kind: CoRunCPU, Node: 1, Cores: []int{0, 1}, Share: 0.5}},
+			Policies: []core.Policy{core.DAMC(), core.RWS()},
+			Reps:     2,
+			Seed:     17,
+		}
+	}
+	single := Spec{
+		Name:     "heat-pooled-single",
+		Platform: PlatformSpec{Preset: "tx2"},
+		Workload: WorkloadSpec{Kind: Synthetic,
+			Synthetic: workloads.SyntheticConfig{Kernel: workloads.MatMul, Tasks: 96}},
+		Policies: []core.Policy{core.DAMP()},
+		Seed:     3,
+	}
+	st := NewCellState()
+	for _, s := range []Spec{heat(3), single, heat(2)} {
+		p, err := NewPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range p.Cells {
+			pooled, err := p.RunCellState(st, c)
+			if err != nil {
+				t.Fatalf("%s: %v", p.CellLabel(c), err)
+			}
+			fresh, err := p.RunCell(c)
+			if err != nil {
+				t.Fatalf("%s: %v", p.CellLabel(c), err)
+			}
+			if !reflect.DeepEqual(pooled, fresh) {
+				t.Fatalf("%s %s: pooled state diverged from a fresh run:\npooled: %+v\nfresh:  %+v",
+					s.Name, p.CellLabel(c), pooled, fresh)
+			}
+		}
 	}
 }

@@ -318,14 +318,16 @@ type Spec struct {
 	// Trace, when non-nil, records the schedule of the run. Multi-cell
 	// specs record each cell into a private per-cell recorder and merge
 	// them here in cell-index order after the grid drains, each cell under
-	// its own trace process row (not supported for HeatDist).
+	// its own trace process row. A distributed cell's nodes share the row,
+	// node k's cores numbered from k×cores.
 	Trace *trace.Recorder
 	// Probe, when true, attaches a scheduler-introspection probe to every
 	// cell run and fills RunMetrics.Sched with the per-core time
 	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
 	// Telemetry is pure observation — fingerprints are byte-identical
 	// with Probe on or off. Execution-only like Workers and Trace
-	// (CanonicalJSON and Hash ignore it); ignored for HeatDist cells.
+	// (CanonicalJSON and Hash ignore it). A distributed cell's breakdown
+	// places its nodes side by side, as CoreBusy does.
 	Probe bool
 	// Progress, when non-nil, receives cell-completion updates from Run:
 	// once with (0, total) before execution starts, then once after every
@@ -454,8 +456,11 @@ func (s Spec) Validate() error {
 	if err := validateDisturbances(s.Name, topo, s.Disturb, nodes); err != nil {
 		return err
 	}
-	if s.Trace != nil && s.Workload.Kind == HeatDist {
-		return fmt.Errorf("scenario %q: tracing is not supported for distributed scenarios", s.Name)
+	if !(s.Latency >= 0) || math.IsInf(s.Latency, 1) {
+		return fmt.Errorf("scenario %q: interconnect latency %v must be finite and >= 0", s.Name, s.Latency)
+	}
+	if !(s.Bandwidth > 0) || math.IsInf(s.Bandwidth, 1) {
+		return fmt.Errorf("scenario %q: interconnect bandwidth %v must be finite and > 0", s.Name, s.Bandwidth)
 	}
 	return nil
 }

@@ -1,12 +1,12 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"dynasym/internal/core"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -64,10 +64,22 @@ func TestValidateErrors(t *testing.T) {
 			s.Workload = WorkloadSpec{Kind: KMeans}
 			s.Points = []Point{{Label: "x", Parallelism: 2}}
 		}, "graph-shape fields"},
-		{"trace on distributed", func(s *Spec) {
-			s.Trace = trace.New()
+		{"negative latency", func(s *Spec) {
 			s.Workload = WorkloadSpec{Kind: HeatDist}
-		}, "not supported for distributed"},
+			s.Latency = -1
+		}, "latency -1"},
+		{"infinite latency", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist}
+			s.Latency = math.Inf(1)
+		}, "latency +Inf"},
+		{"negative bandwidth", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist}
+			s.Bandwidth = -5
+		}, "bandwidth -5"},
+		{"NaN bandwidth", func(s *Spec) {
+			s.Workload = WorkloadSpec{Kind: HeatDist}
+			s.Bandwidth = math.NaN()
+		}, "bandwidth NaN"},
 
 		{"disturb unknown kind", func(s *Spec) {
 			s.Disturb = []Disturbance{{Kind: DisturbKind(99)}}

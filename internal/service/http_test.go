@@ -251,6 +251,10 @@ func TestHTTPErrors(t *testing.T) {
 		"invalid spec":   {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}}`, http.StatusBadRequest},
 		"unknown field":  {`{"famly": "burst-sweep"}`, http.StatusBadRequest},
 		"not json":       {`hello`, http.StatusBadRequest},
+		// An interconnect the network model cannot build must be refused
+		// before any worker runs a cell: simnet.New panics on it.
+		"negative latency":   {`{"spec": {"workload": {"kind": "heatdist"}, "policies": ["DAM-C"], "latency": -1}}`, http.StatusBadRequest},
+		"negative bandwidth": {`{"spec": {"workload": {"kind": "heatdist"}, "policies": ["DAM-C"], "bandwidth": -5}}`, http.StatusBadRequest},
 	} {
 		_, code := postJob(t, srv.URL, tc.body)
 		if code != tc.want {

@@ -95,6 +95,45 @@ func TestSimTraceEndpoint(t *testing.T) {
 	}
 }
 
+// Distributed Heat cells are explainable like every other cell: their
+// simtrace carries both nodes' task slices and the probe's counter lanes.
+func TestSimTraceDistributedHeat(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 2, CacheSize: 8})
+	spec := `{"spec": {"name": "heat-trace", "platform": {"preset": "haswell-node"},
+		"workload": {"kind": "heatdist", "heat": {"nodes": 2, "iters": 4, "blocks_per_node": 12}},
+		"policies": ["DAM-C"], "seed": 5}}`
+	st, code := postJob(t, srv.URL, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: status %d", code)
+	}
+	if final := pollDone(t, srv.URL, st.ID); final.State != "done" {
+		t.Fatalf("job finished as %q: %s", final.State, final.Error)
+	}
+	code, body := getBody(t, srv.URL+"/v1/jobs/"+st.ID+"/cells/0/simtrace")
+	if code != http.StatusOK {
+		t.Fatalf("GET simtrace: status %d: %s", code, body)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(body, &events); err != nil {
+		t.Fatalf("simtrace is not valid JSON: %v", err)
+	}
+	phases := map[string]int{}
+	nodes := map[string]bool{}
+	for _, ev := range events {
+		ph, _ := ev["ph"].(string)
+		phases[ph]++
+		if name, _ := ev["name"].(string); ph == "X" && len(name) > 2 {
+			nodes[name[:2]] = true
+		}
+	}
+	if phases["X"] == 0 || phases["C"] == 0 {
+		t.Fatalf("simtrace phases %v: want task (X) and counter (C) events", phases)
+	}
+	if !nodes["n0"] || !nodes["n1"] {
+		t.Fatalf("simtrace task slices cover nodes %v, want n0 and n1", nodes)
+	}
+}
+
 // Sim-level gauges ride /metrics: after a job, the node reports the
 // simulated task/steal/dispatch totals of the cells it banked.
 func TestSimMetricsExposed(t *testing.T) {

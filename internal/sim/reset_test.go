@@ -6,12 +6,12 @@ import "testing"
 // observed dispatch order.
 func runTrace(e *Engine) []int {
 	var got []int
-	e.After(2e-6, func() { got = append(got, 1) })
-	e.After(1e-6, func() {
+	schedAfter(e, 2e-6, func() { got = append(got, 1) })
+	schedAfter(e, 1e-6, func() {
 		got = append(got, 2)
-		e.After(0, func() { got = append(got, 3) })
+		schedAfter(e, 0, func() { got = append(got, 3) })
 	})
-	e.After(5, func() { got = append(got, 4) })
+	schedAfter(e, 5, func() { got = append(got, 4) })
 	e.Run()
 	return got
 }
@@ -40,8 +40,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 func TestResetDropsPendingEvents(t *testing.T) {
 	e := New()
 	fired := false
-	e.After(1, func() { fired = true })
-	e.After(1e-9, func() { e.Stop() })
+	schedAfter(e, 1, func() { fired = true })
+	schedAfter(e, 1e-9, func() { e.Stop() })
 	e.RunUntil(1e-6)
 	e.Reset()
 	if e.Pending() != 0 {

@@ -7,20 +7,14 @@
 //
 // # Event representation
 //
-// The engine queues two flavors of event in one typed record:
-//
-//	kind      scheduled by          dispatched as
-//	-------   -------------------   -------------------------------
-//	closure   At / After            fn()
-//	typed     AtEvent / AfterEvent  h.HandleEvent(kind, at)
-//
-// Closure events are the convenience API for cold callers (simnet delivery,
-// execution hooks, tests): each call allocates the closure it captures.
-// Typed events are the hot-path API: the caller passes a long-lived Handler
-// (in simrt, the per-core and per-assembly state machines) plus a small
-// EventKind discriminator, and scheduling allocates nothing — the record is
-// stored by value in the engine's heap slice, whose capacity is reused
-// across the whole run.
+// Every event is typed: the caller passes a long-lived Handler plus a small
+// EventKind discriminator to AtEvent / AfterEvent, and dispatch calls
+// h.HandleEvent(kind, at). Scheduling allocates nothing — the record is
+// stored by value in the engine's reusable arena. Hot callers keep one
+// handler per state machine (in simrt, the per-core and per-assembly
+// states); cold callers allocate a small handler per event (in simnet, one
+// per in-flight message), whose pointer identity also keeps same-time
+// events from coalescing (see AtEvent).
 //
 // Event kinds are opaque to the engine: each Handler implementation defines
 // its own kind space (see internal/simrt for the runtime's kind table).
@@ -34,7 +28,7 @@
 // order, dispatch order is independent of how the pending set is stored.
 //
 // Storage is tiered purely for speed; every tier holds pointer-free
-// 16-byte (at, seq|slot) keys whose payload (handler or closure) lives in
+// 16-byte (at, seq|slot) keys whose payload (handler and kind) lives in
 // a freelist-managed arena, and dispatch always takes the minimum of the
 // tiers' fronts:
 //
@@ -42,7 +36,7 @@
 //     cascades, rendezvous deliveries) — FIFO, O(1) both ends. When the
 //     other tiers hold nothing at the current time, RunUntil drains an
 //     entire same-time generation of this buffer back to back without
-//     re-consulting the other tiers, and typed events that duplicate the
+//     re-consulting the other tiers, and events that duplicate the
 //     buffer's tail — same handler, same kind, same timestamp — coalesce
 //     into that single pending delivery;
 //   - near: events within nearWindow of the clock (dispatch follow-ups,
@@ -67,9 +61,9 @@ import (
 // defined by each Handler implementation; the engine never interprets them.
 type EventKind uint8
 
-// Handler receives typed events. Implementations are long-lived objects
-// (core state machines, assemblies) so scheduling a typed event against one
-// performs no allocation.
+// Handler receives typed events. Hot-path implementations are long-lived
+// objects (core state machines, assemblies), so scheduling an event against
+// one performs no allocation.
 type Handler interface {
 	// HandleEvent runs the event. kind is the value passed to AtEvent and
 	// at is the event's virtual time (equal to Engine.Now during the
@@ -111,7 +105,7 @@ type Engine struct {
 	stopped  bool
 	// Processed counts events executed, for diagnostics and perf tests.
 	Processed uint64
-	// Coalesced counts typed events absorbed into an identical pending
+	// Coalesced counts events absorbed into an identical pending
 	// delivery (same handler, kind and timestamp) instead of being queued.
 	Coalesced uint64
 }
@@ -148,13 +142,11 @@ const nearWindow = 1e-3
 // overflow to the heap (again only a routing choice).
 const nearCap = 768
 
-// eventRec is one arena payload: either a closure (fn != nil) or a typed
-// (h, kind) pair. Dispatch zeroes the record before reuse so the arena
-// never retains dead handlers or closures.
+// eventRec is one arena payload: a (handler, kind) pair. Dispatch zeroes
+// the record before reuse so the arena never retains dead handlers.
 type eventRec struct {
 	kind EventKind
 	h    Handler
-	fn   func()
 }
 
 // New returns an engine at virtual time 0.
@@ -163,41 +155,25 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// checkTime validates a scheduling time. Scheduling in the past would
-// violate causality and hide bugs.
-func (e *Engine) checkTime(t float64) {
+// AtEvent schedules a typed event for h at absolute virtual time t. It is
+// allocation-free: the payload is stored by value in the engine's reusable
+// arena and the heap holds only scalar keys.
+//
+// Events at equal timestamps are level-triggered per (handler, kind):
+// scheduling an event identical to the most recently queued same-time event
+// coalesces into that single pending delivery rather than delivering twice
+// (the Coalesced counter records it). Handlers must therefore treat a
+// delivery as "the condition at time t", not a countable pulse — which is
+// how every state-machine handler in this repository already behaves — and
+// must be comparable values (pointers). Scheduling in the past (t < Now)
+// or at NaN panics: it would violate causality and hide bugs.
+func (e *Engine) AtEvent(t float64, h Handler, kind EventKind) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
 	}
 	if math.IsNaN(t) {
 		panic("sim: scheduling event at NaN")
 	}
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics. This is the closure-compat API; hot paths should prefer
-// AtEvent, which does not allocate.
-func (e *Engine) At(t float64, fn func()) {
-	e.checkTime(t)
-	e.push(eventRec{fn: fn}, t)
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
-
-// AtEvent schedules a typed event for h at absolute virtual time t. It is
-// allocation-free: the payload is stored by value in the engine's reusable
-// arena and the heap holds only scalar keys.
-//
-// Typed events at equal timestamps are level-triggered per (handler, kind):
-// scheduling an event identical to the most recently queued same-time event
-// coalesces into that single pending delivery rather than delivering twice
-// (the Coalesced counter records it). Handlers must therefore treat a
-// delivery as "the condition at time t", not a countable pulse — which is
-// how every state-machine handler in this repository already behaves — and
-// must be comparable values (pointers).
-func (e *Engine) AtEvent(t float64, h Handler, kind EventKind) {
-	e.checkTime(t)
 	e.push(eventRec{kind: kind, h: h}, t)
 }
 
@@ -265,11 +241,7 @@ func (e *Engine) RunUntil(limit float64) float64 {
 					}
 					r := e.take(int32(k.seqSlot & (1<<slotBits - 1)))
 					e.Processed++
-					if r.fn != nil {
-						r.fn()
-					} else {
-						r.h.HandleEvent(r.kind, at)
-					}
+					r.h.HandleEvent(r.kind, at)
 					if e.stopped {
 						break
 					}
@@ -296,11 +268,7 @@ func (e *Engine) RunUntil(limit float64) float64 {
 		}
 		e.now = at
 		e.Processed++
-		if rec.fn != nil {
-			rec.fn()
-		} else {
-			rec.h.HandleEvent(rec.kind, at)
-		}
+		rec.h.HandleEvent(rec.kind, at)
 	}
 	return e.now
 }
@@ -325,7 +293,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // to using a fresh engine per run.
 func (e *Engine) Reset() {
 	// Drop payloads explicitly: abandoned events (a run stopped early)
-	// would otherwise keep their handlers and closures alive in the arena.
+	// would otherwise keep their handlers alive in the arena.
 	for i := range e.recs {
 		e.recs[i] = eventRec{}
 	}
@@ -416,7 +384,7 @@ func (e *Engine) take(slot int32) eventRec {
 }
 
 // push stores the payload in the arena and enqueues its key: same-time
-// events go to the FIFO buffer (coalescing typed duplicates of its tail),
+// events go to the FIFO buffer (coalescing duplicates of its tail),
 // near-term keys go to the sorted ring, everything else sifts up the 4-ary
 // heap.
 func (e *Engine) push(rec eventRec, at float64) {
@@ -425,12 +393,12 @@ func (e *Engine) push(rec eventRec, at float64) {
 	// `now` beneath undispatched buffer entries, and mixing times would
 	// break the buffer's sorted-by-(at, seq) property.
 	nowEligible := at == e.now && (e.nowHead == len(e.nowBuf) || e.nowBuf[len(e.nowBuf)-1].at == at)
-	if nowEligible && rec.fn == nil && e.nowHead < len(e.nowBuf) {
-		// Typed same-time duplicates of the pending tail collapse into one
+	if nowEligible && e.nowHead < len(e.nowBuf) {
+		// Same-time duplicates of the pending tail collapse into one
 		// delivery (see AtEvent): the second delivery would observe exactly
 		// the state the first one left, at the same virtual time.
 		tail := &e.recs[int32(e.nowBuf[len(e.nowBuf)-1].seqSlot&(1<<slotBits-1))]
-		if tail.fn == nil && tail.h == rec.h && tail.kind == rec.kind {
+		if tail.h == rec.h && tail.kind == rec.kind {
 			e.Coalesced++
 			return
 		}
@@ -471,7 +439,7 @@ func (e *Engine) push(rec eventRec, at float64) {
 }
 
 // pop removes the minimum key and returns its payload, recycling the arena
-// slot and zeroing it so the engine does not retain the handler or closure.
+// slot and zeroing it so the engine does not retain the handler.
 //
 // The sift uses the bottom-up strategy: the root hole walks to the leaf
 // level along the min-child path (one move and three comparisons per

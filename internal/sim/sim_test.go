@@ -5,12 +5,22 @@ import (
 	"testing"
 )
 
+// call adapts a closure to Handler for tests. Each call is a fresh
+// pointer, so same-time events never coalesce.
+type call struct{ f func() }
+
+func (c *call) HandleEvent(EventKind, float64) { c.f() }
+
+// schedAt runs fn at absolute time t; schedAfter runs it d from now.
+func schedAt(e *Engine, t float64, f func())    { e.AtEvent(t, &call{f}, 0) }
+func schedAfter(e *Engine, d float64, f func()) { e.AfterEvent(d, &call{f}, 0) }
+
 func TestOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(2, func() { order = append(order, 2) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(3, func() { order = append(order, 3) })
+	schedAt(e, 2, func() { order = append(order, 2) })
+	schedAt(e, 1, func() { order = append(order, 1) })
+	schedAt(e, 3, func() { order = append(order, 3) })
 	end := e.Run()
 	if end != 3 {
 		t.Fatalf("final time %g, want 3", end)
@@ -25,8 +35,8 @@ func TestOrdering(t *testing.T) {
 func TestTieBreakBySchedulingOrder(t *testing.T) {
 	e := New()
 	var order []string
-	e.At(1, func() { order = append(order, "first") })
-	e.At(1, func() { order = append(order, "second") })
+	schedAt(e, 1, func() { order = append(order, "first") })
+	schedAt(e, 1, func() { order = append(order, "second") })
 	e.Run()
 	if order[0] != "first" || order[1] != "second" {
 		t.Fatalf("tie broken wrong: %v", order)
@@ -36,8 +46,8 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestAfter(t *testing.T) {
 	e := New()
 	var at float64
-	e.At(5, func() {
-		e.After(2, func() { at = e.Now() })
+	schedAt(e, 5, func() {
+		schedAfter(e, 2, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 7 {
@@ -52,10 +62,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	recur = func() {
 		count++
 		if count < 10 {
-			e.After(1, recur)
+			schedAfter(e, 1, recur)
 		}
 	}
-	e.At(0, recur)
+	schedAt(e, 0, recur)
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -70,7 +80,7 @@ func TestRunUntil(t *testing.T) {
 	ran := 0
 	for i := 1; i <= 10; i++ {
 		i := i
-		e.At(float64(i), func() { ran = i })
+		schedAt(e, float64(i), func() { ran = i })
 	}
 	e.RunUntil(5.5)
 	if ran != 5 {
@@ -91,8 +101,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := New()
 	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
+	schedAt(e, 1, func() { ran++; e.Stop() })
+	schedAt(e, 2, func() { ran++ })
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("Stop did not halt processing: ran=%d", ran)
@@ -105,13 +115,13 @@ func TestStop(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(5, func() {
+	schedAt(e, 5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, func() {})
+		schedAt(e, 1, func() {})
 	})
 	e.Run()
 }
@@ -123,13 +133,13 @@ func TestNaNPanics(t *testing.T) {
 			t.Fatal("NaN time did not panic")
 		}
 	}()
-	e.At(math.NaN(), func() {})
+	schedAt(e, math.NaN(), func() {})
 }
 
 func TestProcessedCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 100; i++ {
-		e.At(float64(i), func() {})
+		schedAt(e, float64(i), func() {})
 	}
 	e.Run()
 	if e.Processed != 100 {
@@ -139,14 +149,14 @@ func TestProcessedCounter(t *testing.T) {
 
 func BenchmarkEventThroughput(b *testing.B) {
 	e := New()
-	var next func()
 	i := 0
-	next = func() {
+	next := &call{}
+	next.f = func() {
 		i++
 		if i < b.N {
-			e.After(1e-6, next)
+			e.AfterEvent(1e-6, next, 0)
 		}
 	}
-	e.At(0, next)
+	e.AtEvent(0, next, 0)
 	e.Run()
 }

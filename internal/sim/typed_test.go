@@ -15,30 +15,6 @@ func (r *recorder) HandleEvent(kind EventKind, at float64) {
 	r.ats = append(r.ats, at)
 }
 
-// Typed and closure events must interleave in strict (at, seq) order.
-func TestTypedClosureInterleaving(t *testing.T) {
-	e := New()
-	r := &recorder{}
-	var order []string
-	e.At(2, func() { order = append(order, "c2") })
-	e.AtEvent(1, r, 7)                              // seq 2
-	e.At(1, func() { order = append(order, "c1") }) // seq 3: same time, later seq
-	e.AtEvent(3, r, 9)
-	e.Run()
-	if len(r.kinds) != 2 || r.kinds[0] != 7 || r.kinds[1] != 9 {
-		t.Fatalf("kinds = %v, want [7 9]", r.kinds)
-	}
-	if r.ats[0] != 1 || r.ats[1] != 3 {
-		t.Fatalf("ats = %v, want [1 3]", r.ats)
-	}
-	if len(order) != 2 || order[0] != "c1" || order[1] != "c2" {
-		t.Fatalf("closure order = %v", order)
-	}
-	if e.Processed != 4 {
-		t.Fatalf("Processed = %d, want 4", e.Processed)
-	}
-}
-
 // HandleEvent's at argument must equal the engine clock during dispatch.
 func TestTypedEventTime(t *testing.T) {
 	e := New()
@@ -56,7 +32,7 @@ func TestTypedEventTime(t *testing.T) {
 func TestAfterEvent(t *testing.T) {
 	e := New()
 	var at float64
-	e.At(5, func() {
+	schedAt(e, 5, func() {
 		e.AfterEvent(2, handlerFunc(func(_ EventKind, a float64) { at = a }), 0)
 	})
 	e.Run()
@@ -65,10 +41,10 @@ func TestAfterEvent(t *testing.T) {
 	}
 }
 
-// AtEvent must reject causality violations like At does.
+// AtEvent must reject causality violations from inside a handler.
 func TestAtEventPastPanics(t *testing.T) {
 	e := New()
-	e.At(5, func() {
+	schedAt(e, 5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling typed event in the past did not panic")
@@ -93,7 +69,7 @@ func TestHeapTotalOrder(t *testing.T) {
 		x ^= x << 17
 		at := float64(x % 97)
 		seq := i
-		e.At(at, func() { got = append(got, at); markers = append(markers, seq) })
+		schedAt(e, at, func() { got = append(got, at); markers = append(markers, seq) })
 	}
 	e.Run()
 	if len(got) != 5000 {
@@ -147,8 +123,8 @@ func (f handlerFunc) HandleEvent(k EventKind, at float64) { f(k, at) }
 func TestRewindKeepsOrder(t *testing.T) {
 	e := New()
 	var order []float64
-	e.At(5, func() {
-		e.At(5, func() { order = append(order, 5) }) // lands in the same-time buffer
+	schedAt(e, 5, func() {
+		schedAt(e, 5, func() { order = append(order, 5) }) // lands in the same-time buffer
 		e.Stop()
 	})
 	e.Run()
@@ -156,7 +132,7 @@ func TestRewindKeepsOrder(t *testing.T) {
 	if e.Now() != 3 {
 		t.Fatalf("Now = %g, want 3", e.Now())
 	}
-	e.At(3, func() { order = append(order, 3) })
+	schedAt(e, 3, func() { order = append(order, 3) })
 	e.Run()
 	if len(order) != 2 || order[0] != 3 || order[1] != 5 {
 		t.Fatalf("dispatch order = %v, want [3 5]", order)

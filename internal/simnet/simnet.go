@@ -40,7 +40,6 @@ type MsgKey struct {
 type slot struct {
 	arrived  bool
 	at       float64
-	bytes    float64
 	receiver func(at float64)
 }
 
@@ -64,23 +63,36 @@ func New(engine *sim.Engine, latency, bandwidth float64) *Network {
 func (n *Network) Send(key MsgKey, bytes float64) {
 	n.Sent++
 	at := n.engine.Now() + n.Latency + bytes/n.Bandwidth
-	n.engine.At(at, func() {
-		s := n.inbox[key]
-		if s == nil {
-			n.inbox[key] = &slot{arrived: true, at: at, bytes: bytes}
-			return
-		}
-		if s.arrived {
-			panic(fmt.Sprintf("simnet: duplicate send for %+v", key))
-		}
-		s.arrived = true
-		s.at = at
-		n.Delivered++
-		recv := s.receiver
-		s.receiver = nil
-		delete(n.inbox, key)
-		recv(at)
-	})
+	n.engine.AtEvent(at, &delivery{n: n, key: key}, 0)
+}
+
+// delivery is one in-flight message, scheduled as a typed event for its
+// arrival time. Every message is its own pointer, so same-time sends never
+// coalesce in the engine.
+type delivery struct {
+	n   *Network
+	key MsgKey
+}
+
+// HandleEvent lands the message: it completes a waiting receiver or parks
+// in the inbox until Recv asks for it.
+func (d *delivery) HandleEvent(_ sim.EventKind, at float64) {
+	n := d.n
+	s := n.inbox[d.key]
+	if s == nil {
+		n.inbox[d.key] = &slot{arrived: true, at: at}
+		return
+	}
+	if s.arrived {
+		panic(fmt.Sprintf("simnet: duplicate send for %+v", d.key))
+	}
+	s.arrived = true
+	s.at = at
+	n.Delivered++
+	recv := s.receiver
+	s.receiver = nil
+	delete(n.inbox, d.key)
+	recv(at)
 }
 
 // Recv registers a receiver for the message key. If the message already

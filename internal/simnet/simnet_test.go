@@ -7,15 +7,23 @@ import (
 	"dynasym/internal/sim"
 )
 
+// call adapts a closure to sim.Handler for tests.
+type call struct{ f func() }
+
+func (c *call) HandleEvent(sim.EventKind, float64) { c.f() }
+
+// schedAt runs fn at absolute virtual time t.
+func schedAt(e *sim.Engine, t float64, f func()) { e.AtEvent(t, &call{f}, 0) }
+
 func TestSendThenRecv(t *testing.T) {
 	e := sim.New()
 	n := New(e, 1e-6, 1e9)
 	var deliveredAt float64
 	key := MsgKey{From: 0, To: 1, Tag: 7}
-	e.At(0, func() {
+	schedAt(e, 0, func() {
 		n.Send(key, 1e6) // 1 MB: 1 µs latency + 1 ms transfer
 	})
-	e.At(0.5e-3, func() {
+	schedAt(e, 0.5e-3, func() {
 		n.Recv(key, func(at float64) { deliveredAt = at })
 	})
 	e.Run()
@@ -30,10 +38,10 @@ func TestRecvBeforeSend(t *testing.T) {
 	n := New(e, 2e-6, 1e9)
 	var deliveredAt float64
 	key := MsgKey{From: 3, To: 0, Tag: 1}
-	e.At(0, func() {
+	schedAt(e, 0, func() {
 		n.Recv(key, func(at float64) { deliveredAt = at })
 	})
-	e.At(1.0, func() {
+	schedAt(e, 1.0, func() {
 		n.Send(key, 0)
 	})
 	e.Run()
@@ -47,8 +55,8 @@ func TestRecvAfterArrivalFiresImmediately(t *testing.T) {
 	n := New(e, 1e-6, 1e9)
 	key := MsgKey{From: 0, To: 1, Tag: 2}
 	fired := false
-	e.At(0, func() { n.Send(key, 0) })
-	e.At(1.0, func() {
+	schedAt(e, 0, func() { n.Send(key, 0) })
+	schedAt(e, 1.0, func() {
 		n.Recv(key, func(at float64) {
 			fired = true
 			if at > 1e-3 {
@@ -66,7 +74,7 @@ func TestDistinctTagsDoNotMatch(t *testing.T) {
 	e := sim.New()
 	n := New(e, 1e-6, 1e9)
 	got := 0
-	e.At(0, func() {
+	schedAt(e, 0, func() {
 		n.Send(MsgKey{From: 0, To: 1, Tag: 1}, 0)
 		n.Recv(MsgKey{From: 0, To: 1, Tag: 2}, func(float64) { got++ })
 	})
@@ -83,7 +91,7 @@ func TestDuplicateReceiverPanics(t *testing.T) {
 	e := sim.New()
 	n := New(e, 1e-6, 1e9)
 	key := MsgKey{From: 0, To: 1, Tag: 5}
-	e.At(0, func() {
+	schedAt(e, 0, func() {
 		n.Recv(key, func(float64) {})
 		defer func() {
 			if recover() == nil {
@@ -99,12 +107,33 @@ func TestCounters(t *testing.T) {
 	e := sim.New()
 	n := New(e, 1e-6, 1e9)
 	key := MsgKey{From: 0, To: 1, Tag: 9}
-	e.At(0, func() {
+	schedAt(e, 0, func() {
 		n.Recv(key, func(float64) {})
 		n.Send(key, 10)
 	})
 	e.Run()
 	if n.Sent != 1 || n.Delivered != 1 || n.Pending() != 0 {
 		t.Fatalf("sent=%d delivered=%d pending=%d", n.Sent, n.Delivered, n.Pending())
+	}
+}
+
+// Two sends landing at the same virtual time are two deliveries: each
+// in-flight message is its own handler, so the engine never merges them.
+// Zero latency and size put both deliveries at the current time, where the
+// engine coalesces duplicate (handler, kind) events.
+func TestSameTimeSendsBothDeliver(t *testing.T) {
+	e := sim.New()
+	n := New(e, 0, 1e9)
+	got := 0
+	schedAt(e, 0, func() {
+		for tag := int64(0); tag < 2; tag++ {
+			key := MsgKey{From: 0, To: 1, Tag: tag}
+			n.Recv(key, func(float64) { got++ })
+			n.Send(key, 0)
+		}
+	})
+	e.Run()
+	if got != 2 || e.Coalesced != 0 {
+		t.Fatalf("delivered %d of 2 same-time messages (coalesced %d)", got, e.Coalesced)
 	}
 }

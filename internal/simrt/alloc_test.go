@@ -52,7 +52,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	// Warm: run a third of the workload so every ring, the assembly pool
 	// and the engine arena have grown to their final capacity.
 	e.RunUntil(0.008)
-	if rt.Finished() {
+	if rt.Check() == nil {
 		t.Fatal("workload drained during warm-up; enlarge it")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
@@ -61,12 +61,12 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state wake/steal/dispatch allocated %.1f allocs per 1ms window, want 0", allocs)
 	}
-	if rt.Finished() {
+	if rt.Check() == nil {
 		t.Fatal("workload drained during measurement; enlarge it")
 	}
 	// The run must still complete correctly afterwards.
 	e.Run()
-	if !rt.Finished() {
+	if rt.Check() != nil {
 		t.Fatal("run did not finish after measurement")
 	}
 }

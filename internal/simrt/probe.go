@@ -1,12 +1,14 @@
 package simrt
 
 // Probe is the runtime's scheduler-introspection hook. It observes the
-// existing decision points of the execution protocol — dispatches, steals,
-// queue transitions, PTT updates — and never influences them: it draws no
+// existing decision points of the execution protocol — steals, queue
+// transitions, PTT updates — and never influences them: it draws no
 // randomness, schedules no events, and reads virtual time only at
 // boundaries the runtime already crossed, so a probed run is bit-identical
 // to an unprobed one (the fingerprint gates in internal/scenario prove it
-// per policy × workload kind).
+// per policy × workload kind). The per-core dispatch and steal windows are
+// not counted here: Runtime.Sched derives them from the runtime's own
+// always-on per-core counters.
 //
 // A nil probe is the default and costs one pointer check per hook site;
 // the alloc gates in alloc_test.go hold the disabled hot path at zero
@@ -50,10 +52,6 @@ type PTTSample struct {
 type Probe struct {
 	cores int
 
-	// dispatchSec/stealSec accumulate the virtual time each core was
-	// charged for dispatch windows and successful steal windows.
-	dispatchSec []float64
-	stealSec    []float64
 	// stealLow/stealHigh are cores×cores victim-major steal counts.
 	stealLow  []int64
 	stealHigh []int64
@@ -82,8 +80,6 @@ func NewProbe() *Probe { return &Probe{} }
 // reset clears the probe for a run on n cores, reusing its storage.
 func (p *Probe) reset(n int) {
 	p.cores = n
-	p.dispatchSec = resizeZero(p.dispatchSec, n)
-	p.stealSec = resizeZero(p.stealSec, n)
 	p.stealLow = resizeZeroI(p.stealLow, n*n)
 	p.stealHigh = resizeZeroI(p.stealHigh, n*n)
 	p.ready, p.committed = 0, 0
@@ -99,17 +95,6 @@ func (p *Probe) reset(n int) {
 	p.pttDropped = 0
 }
 
-func resizeZero(sl []float64, n int) []float64 {
-	if cap(sl) < n {
-		return make([]float64, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
-	return sl
-}
-
 func resizeZeroI(sl []int64, n int) []int64 {
 	if cap(sl) < n {
 		return make([]int64, n)
@@ -121,15 +106,9 @@ func resizeZeroI(sl []int64, n int) []int64 {
 	return sl
 }
 
-// dispatched charges one dispatch window to a core.
-func (p *Probe) dispatched(core int, sec float64) {
-	p.dispatchSec[core] += sec
-}
-
-// stole records one successful steal: the thief's steal window and the
-// victim→thief matrix cell for the task's priority class.
-func (p *Probe) stole(victim, thief int, high bool, sec float64) {
-	p.stealSec[thief] += sec
+// stole records one successful steal in the victim→thief matrix cell for
+// the task's priority class.
+func (p *Probe) stole(victim, thief int, high bool) {
 	i := victim*p.cores + thief
 	if high {
 		p.stealHigh[i]++
@@ -179,21 +158,23 @@ func (p *Probe) pttObserve(at float64, place, typ int32, predicted, actual float
 	}
 }
 
-// flushTo aggregates the probe into the collector at run completion.
-func (p *Probe) flushTo(coll *metrics.Collector, makespan float64) {
-	coll.SetSched(p.Sched(coll.CoreBusy(), makespan))
-}
-
-// Sched renders the accumulated telemetry as a mergeable aggregate. busy
-// is the per-core kernel time (the collector's CoreBusy); idle is the
-// residual of the makespan after busy, dispatch and steal windows.
-func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
+// Sched renders the probe's telemetry over the virtual-time span [0, span]
+// — the runtime's makespan, or the common makespan of runtimes that shared
+// an engine — or returns nil when the runtime runs without a probe. Busy is
+// the collector's per-core kernel time, dispatch and steal windows are the
+// always-on per-core counters times their costs, and idle is the residual.
+func (rt *Runtime) Sched(span float64) *metrics.Sched {
+	p := rt.cfg.Probe
+	if p == nil {
+		return nil
+	}
+	busy := rt.coll.CoreBusy()
 	s := &metrics.Sched{
 		Busy:         busy,
-		Dispatch:     append([]float64(nil), p.dispatchSec...),
-		Steal:        append([]float64(nil), p.stealSec...),
+		Dispatch:     make([]float64, p.cores),
+		Steal:        make([]float64, p.cores),
 		Idle:         make([]float64, p.cores),
-		Span:         makespan,
+		Span:         span,
 		QueueSamples: p.transitions,
 		ReadySec:     p.readyInt,
 		CommittedSec: p.committedInt,
@@ -202,20 +183,18 @@ func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
 		PTTSamples:   p.pttCount,
 		PTTErrSum:    p.pttErrSum,
 	}
-	// Close the depth integrals at the makespan (the final stretch after
+	for i, c := range rt.cores {
+		s.Dispatch[i] = float64(c.dispatches) * rt.cfg.DispatchCost
+		s.Steal[i] = float64(c.steals) * rt.cfg.StealCost
+		s.Idle[i] = max(0, span-busy[i]-s.Dispatch[i]-s.Steal[i])
+	}
+	// Close the depth integrals at the span (the final stretch after
 	// the last transition is all-idle queues, but committed may be 0 only
 	// at the very end, so integrate whatever state was left).
-	if makespan > p.lastAt {
-		dt := makespan - p.lastAt
+	if span > p.lastAt {
+		dt := span - p.lastAt
 		s.ReadySec += float64(p.ready) * dt
 		s.CommittedSec += float64(p.committed) * dt
-	}
-	for i := 0; i < p.cores && i < len(busy); i++ {
-		idle := makespan - busy[i] - s.Dispatch[i] - s.Steal[i]
-		if idle < 0 {
-			idle = 0
-		}
-		s.Idle[i] = idle
 	}
 	for v := 0; v < p.cores; v++ {
 		for t := 0; t < p.cores; t++ {
@@ -235,14 +214,6 @@ func (p *Probe) Sched(busy []float64, makespan float64) *metrics.Sched {
 	}
 	return s
 }
-
-// QueueSamples returns the recorded queue-depth series (read-only; valid
-// until the probe's next reset).
-func (p *Probe) QueueSamples() []QueueSample { return p.samples }
-
-// PTTSeries returns the recorded prediction-vs-actual series (read-only;
-// valid until the probe's next reset).
-func (p *Probe) PTTSeries() []PTTSample { return p.pttSamples }
 
 // EmitCounters converts the recorded series into Chrome counter lanes on
 // the recorder under pid: "queue depth" (wsq/aq series), "ready tasks",

@@ -43,7 +43,7 @@ func probeRun(t *testing.T, p *Probe) *Runtime {
 		t.Fatal(err)
 	}
 	rt.Engine().Run()
-	if !rt.Finished() {
+	if rt.Check() != nil {
 		t.Fatal("run did not finish")
 	}
 	return rt
@@ -70,10 +70,10 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 			t.Fatalf("core %d busy diverged: off=%v on=%v", i, offBusy[i], onBusy[i])
 		}
 	}
-	if off.Collector().Sched() != nil {
+	if off.Sched(off.Makespan()) != nil {
 		t.Fatal("probe-off run produced Sched telemetry")
 	}
-	if on.Collector().Sched() == nil {
+	if on.Sched(on.Makespan()) == nil {
 		t.Fatal("probe-on run produced no Sched telemetry")
 	}
 }
@@ -82,7 +82,7 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 // per-thief edge sums must equal CoreStats' per-core steal counts.
 func TestProbeStealMatrixMatchesCounters(t *testing.T) {
 	rt := probeRun(t, NewProbe())
-	sched := rt.Collector().Sched()
+	sched := rt.Sched(rt.Makespan())
 	stats := rt.CoreStats()
 
 	perThief := make([]int64, len(stats))
@@ -113,7 +113,7 @@ func TestProbeStealMatrixMatchesCounters(t *testing.T) {
 // dispatch + steal + idle = span for every core, with nothing negative.
 func TestProbeTimeBreakdownPartitionsSpan(t *testing.T) {
 	rt := probeRun(t, NewProbe())
-	sched := rt.Collector().Sched()
+	sched := rt.Sched(rt.Makespan())
 	if sched.Span <= 0 {
 		t.Fatalf("span %v, want > 0", sched.Span)
 	}
@@ -154,14 +154,14 @@ func TestProbeReuseAcrossReset(t *testing.T) {
 		rt.Engine().Run()
 		return rt
 	}
-	first := run().Collector().Sched()
+	first := run().Sched(rt.Makespan())
 	if err := rt.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	second := run().Collector().Sched()
+	second := run().Sched(rt.Makespan())
 
 	if first == second {
-		t.Fatal("flushed Sched aggregates alias the pooled probe")
+		t.Fatal("rendered Sched aggregates alias the pooled probe")
 	}
 	if first.Span != second.Span || first.TotalSteals() != second.TotalSteals() ||
 		first.QueueSamples != second.QueueSamples || first.PTTSamples != second.PTTSamples {

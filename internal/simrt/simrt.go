@@ -34,8 +34,7 @@
 //	                       release members, update PTT, wake deps
 //
 // Event times carry the payload: an evAsmDone's `at` is the assembly's
-// finish time. Only cold paths (execution-hook deliveries) use the engine's
-// closure API.
+// finish time, including for execution-hook deliveries.
 //
 // # Steady-state allocation behavior
 //
@@ -89,8 +88,11 @@ type Config struct {
 	// Registry supplies pre-trained trace tables; nil allocates fresh
 	// ones.
 	Registry *ptt.Registry
-	// Engine lets several runtimes share one virtual clock (distributed
-	// experiments); nil allocates a private engine.
+	// Engine is the event engine the runtime schedules on; nil allocates a
+	// private one. Runtimes that share an engine share one virtual clock:
+	// start each with Start, then drive the engine once (a distributed
+	// scenario cell starts its nodes in node order and drains them with a
+	// single Engine.Run).
 	Engine *sim.Engine
 	// Hook optionally takes over execution of selected tasks.
 	Hook ExecHook
@@ -514,9 +516,6 @@ func (rt *Runtime) Registry() *ptt.Registry { return rt.reg }
 // Policy returns the runtime's scheduling policy.
 func (rt *Runtime) Policy() core.Policy { return rt.policy }
 
-// Finished reports whether the graph drained.
-func (rt *Runtime) Finished() bool { return rt.finished }
-
 // Makespan returns the virtual time at which the last task finished.
 func (rt *Runtime) Makespan() float64 { return rt.makespan }
 
@@ -528,14 +527,24 @@ func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 		return nil, err
 	}
 	rt.engine.Run()
-	if !rt.finished {
-		out := g.Outstanding()
-		if rt.soa.static {
-			out = int64(rt.soa.remaining)
-		}
-		return nil, fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", out)
+	if err := rt.Check(); err != nil {
+		return nil, err
 	}
 	return rt.coll, nil
+}
+
+// Check reports whether the started graph ran to completion: nil once every
+// task finished, otherwise the stall error Run returns. Callers that drive
+// a shared engine themselves check each runtime after the engine drains.
+func (rt *Runtime) Check() error {
+	if rt.finished {
+		return nil
+	}
+	out := rt.graph.Outstanding()
+	if rt.soa.static {
+		out = int64(rt.soa.remaining)
+	}
+	return fmt.Errorf("simrt: execution stalled with %d tasks outstanding (possible dependency deadlock)", out)
 }
 
 // Start wires the graph into the runtime and schedules the initial events.
@@ -556,9 +565,6 @@ func (rt *Runtime) Start(g *dag.Graph) error {
 	if g.Outstanding() == 0 {
 		rt.finished = true
 		rt.coll.SetMakespan(0)
-		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(rt.coll, 0)
-		}
 		return nil
 	}
 	for _, c := range rt.cores {
@@ -681,7 +687,6 @@ func (rt *Runtime) step(c *coreState) {
 			rt.updateWSQBits(c)
 			if p := rt.cfg.Probe; p != nil {
 				p.queueDelta(rt.engine.Now(), -1, 0)
-				p.dispatched(c.id, rt.cfg.DispatchCost)
 			}
 			rt.dispatch(c, t)
 			c.dispatches++
@@ -710,7 +715,6 @@ func (rt *Runtime) step(c *coreState) {
 		rt.updateWSQBits(c)
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.dispatched(c.id, rt.cfg.DispatchCost)
 		}
 		rt.dispatch(c, t)
 		c.dispatches++
@@ -741,7 +745,7 @@ func (rt *Runtime) step(c *coreState) {
 		c.steals++
 		if p := rt.cfg.Probe; p != nil {
 			p.queueDelta(rt.engine.Now(), -1, 0)
-			p.stole(v.id, c.id, t&1 != 0, rt.cfg.StealCost)
+			p.stole(v.id, c.id, t&1 != 0)
 		}
 		rt.dispatch(c, t)
 		rt.engine.AfterEvent(rt.cfg.StealCost, c, evStep)
@@ -904,9 +908,6 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 			rt.finished = true
 			rt.makespan = finish
 			rt.coll.SetMakespan(finish)
-			if p := rt.cfg.Probe; p != nil {
-				p.flushTo(rt.coll, finish)
-			}
 		}
 		return
 	}
@@ -918,9 +919,6 @@ func (rt *Runtime) completeAssembly(a *assembly, finish float64) {
 		rt.finished = true
 		rt.makespan = finish
 		rt.coll.SetMakespan(finish)
-		if p := rt.cfg.Probe; p != nil {
-			p.flushTo(rt.coll, finish)
-		}
 	}
 }
 

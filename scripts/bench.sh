@@ -36,7 +36,7 @@ run() {
 }
 
 run 'BenchmarkScaleout64Engine$|BenchmarkSimulatedSchedulerThroughput$' .
-run 'BenchmarkEventThroughput$|BenchmarkEngineTypedEvents$|BenchmarkEngineClosureEvents$' ./internal/sim
+run 'BenchmarkEventThroughput$|BenchmarkEngineTypedEvents$' ./internal/sim
 run 'BenchmarkDurationConstant$|BenchmarkDurationDVFS$' ./internal/machine
 run 'BenchmarkServiceCacheHit$|BenchmarkServiceColdRun$|BenchmarkShardDispatch$|BenchmarkCellAssemblyWarm$' ./internal/service
 run 'BenchmarkImportDOT$|BenchmarkBuildCholesky$|BenchmarkBuildCholeskyAmortized$' ./internal/dagio

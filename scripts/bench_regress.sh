@@ -50,10 +50,10 @@ bench() {
 }
 
 bench 'BenchmarkScaleout64Engine$' .
-bench 'BenchmarkEngineTypedEvents$|BenchmarkEngineClosureEvents$' ./internal/sim
+bench 'BenchmarkEngineTypedEvents$' ./internal/sim
 
 fail=0
-for name in BenchmarkScaleout64Engine BenchmarkEngineTypedEvents BenchmarkEngineClosureEvents; do
+for name in BenchmarkScaleout64Engine BenchmarkEngineTypedEvents; do
 	# Best (highest) events/s over the repeated runs.
 	cur="$(awk -v n="$name" '
 		$1 ~ ("^" n "(-[0-9]+)?$") {
