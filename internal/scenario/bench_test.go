@@ -51,7 +51,7 @@ func BenchmarkUncompiledCellRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.compiled = nil
+	forcePerCellBuilds(p)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.RunCell(p.Cells[i%len(p.Cells)]); err != nil {

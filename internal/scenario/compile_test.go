@@ -20,7 +20,7 @@ func uncompiledFingerprint(t *testing.T, s Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.compiled = nil // force per-cell builds
+	forcePerCellBuilds(p)
 	results := make(map[string]RunMetrics, len(p.Cells))
 	for _, c := range p.Cells {
 		rm, err := p.RunCell(c)
@@ -34,6 +34,18 @@ func uncompiledFingerprint(t *testing.T, s Spec) string {
 		t.Fatal(err)
 	}
 	return res.Fingerprint()
+}
+
+// forcePerCellBuilds disables the plan's compiled-workload layer: every
+// point gets a variant that never compiles, so each cell rebuilds its
+// graph from the builder.
+func forcePerCellBuilds(p *Plan) {
+	for xi, pt := range p.Spec.Points {
+		w := p.Spec.Workload
+		cw := &compiledWorkload{build: func() (*dag.Graph, error) { return buildGraph(w, pt) }}
+		cw.once.Do(func() {})
+		p.compiled[xi] = cw
+	}
 }
 
 // TestCompiledMatchesUncompiled is the tentpole's determinism gate: for

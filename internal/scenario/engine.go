@@ -162,20 +162,19 @@ func (p *Plan) runCell(st *CellState, c CellJob, rec *trace.Recorder, probed boo
 		}
 	}
 	pt := s.Points[c.Point]
-	// cw is the point's compiled workload: single-node graph instances
-	// come from its pool instead of the builder.
-	var cw *compiledWorkload
-	if p.compiled != nil {
-		cw = p.compiled[c.Point]
-	}
 	engine := st.engineFor()
 	nodes := 1
 	var hd *workloads.HeatDist
 	var net *simnet.Network
+	// cw is the point's compiled workload: single-node graph instances
+	// come from its pool instead of the builder.
+	var cw *compiledWorkload
 	if s.Workload.Kind == HeatDist {
 		hd = workloads.NewHeatDist(s.Workload.Heat)
 		net = simnet.New(engine, s.Latency, s.Bandwidth)
 		nodes = hd.Nodes
+	} else {
+		cw = p.compiled[c.Point]
 	}
 	rts, probes := st.nodes(nodes)
 	var recs []*trace.Recorder // per-node recorders, nil when untraced
@@ -213,14 +212,11 @@ func (p *Plan) runCell(st *CellState, c CellJob, rec *trace.Recorder, probed boo
 		if recs != nil {
 			cfg.Trace = recs[node]
 		}
-		switch {
-		case hd != nil:
+		if hd != nil {
 			g = hd.BuildNode(node)
 			cfg.Hook = hd.Hook(net)
-		case cw != nil:
+		} else {
 			g, err = cw.acquire()
-		default:
-			g, err = buildGraph(s.Workload, pt)
 		}
 		if err != nil {
 			return RunMetrics{}, err

@@ -28,7 +28,7 @@ const (
 // cluster's memory bandwidth) for Copy — swept over DAG parallelism.
 func coRunSpec(name string, kernel workloads.KernelKind, scale float64, seed uint64, ps ...int) Spec {
 	wcfg := workloads.SyntheticConfig{Kernel: kernel}.Defaults()
-	wcfg.Tasks = scaleTasks(wcfg.Tasks, scale, 600)
+	wcfg.Tasks = scaled(wcfg.Tasks, scale, 600)
 	disturb := Disturbance{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5}
 	if kernel == workloads.Copy {
 		disturb = Disturbance{Kind: CoRunMemory, Cores: []int{0}, Share: 0.5, BWFactor: 0.8}
@@ -48,7 +48,7 @@ func coRunSpec(name string, kernel workloads.KernelKind, scale float64, seed uin
 // while the Denver cluster's clock alternates 2035/345 MHz every 5 s.
 func dvfsSpec(name string, kernel workloads.KernelKind, scale float64, seed uint64) Spec {
 	wcfg := workloads.SyntheticConfig{Kernel: kernel}.Defaults()
-	wcfg.Tasks = scaleTasks(wcfg.Tasks, scale, 600)
+	wcfg.Tasks = scaled(wcfg.Tasks, scale, 600)
 	return Spec{
 		Name:     name,
 		Platform: PlatformSpec{Preset: "tx2"},
@@ -75,7 +75,7 @@ func fig8Spec(scale float64, seed uint64) Spec {
 		Platform: PlatformSpec{Preset: "tx2"},
 		Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 			Kernel:      workloads.MatMul,
-			Tasks:       scaleTasks(32000, scale, 600),
+			Tasks:       scaled(32000, scale, 600),
 			Parallelism: 2,
 		}},
 		Disturb:  []Disturbance{{Kind: CoRunCPU, Cores: []int{0}, Share: 0.5}},
@@ -91,7 +91,7 @@ func fig8Spec(scale float64, seed uint64) Spec {
 // in virtual time by a DAM-C calibration run without interference.
 func fig9Spec(name string, scale float64, seed uint64) Spec {
 	km := workloads.KMeansConfig{MaxIters: fig9Iters}.Defaults()
-	km.N = scaleTasks(km.N, scale, 1<<13)
+	km.N = scaled(km.N, scale, 1<<13)
 	s := Spec{
 		Name:     name + "-calibration",
 		Platform: PlatformSpec{Preset: "haswell16"},
@@ -121,7 +121,7 @@ func fig9Spec(name string, scale float64, seed uint64) Spec {
 // 10-iteration DAM-C calibration run.
 func fig10Spec(scale float64, seed uint64) Spec {
 	hd := workloads.HeatDistConfig{}.Defaults()
-	hd.Iters = scaleTasks(hd.Iters, scale, 10)
+	hd.Iters = scaled(hd.Iters, scale, 10)
 	spec := func(name string, hd workloads.HeatDistConfig, pols []core.Policy, from float64) Spec {
 		d := Disturbance{Kind: CoRunCPU, Node: 0, Cores: []int{0, 1, 2, 3, 4}, Share: 0.35}
 		if from > 0 {
@@ -277,7 +277,7 @@ func init() {
 			Desc: "Ablation: DA and DAM-P Stencil at P=2,3 under DVFS on " + desc,
 			Spec: func(scale float64, seed uint64) Spec {
 				wcfg := workloads.SyntheticConfig{Kernel: workloads.Stencil}.Defaults()
-				wcfg.Tasks = scaleTasks(wcfg.Tasks, scale, 600)
+				wcfg.Tasks = scaled(wcfg.Tasks, scale, 600)
 				return Spec{
 					Name:     name,
 					Platform: PlatformSpec{Preset: "tx2", WidthCap: widthCap},

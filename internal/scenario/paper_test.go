@@ -372,8 +372,8 @@ func TestScaleTasks(t *testing.T) {
 		scale float64
 		want  int
 	}{{0, 100}, {1, 100}, {0.1, 10}, {0.01, 10}} {
-		if got := scaleTasks(100, tc.scale, 10); got != tc.want {
-			t.Errorf("scaleTasks(100, %v, 10) = %d, want %d", tc.scale, got, tc.want)
+		if got := scaled(100, tc.scale, 10); got != tc.want {
+			t.Errorf("scaled(100, %v, 10) = %d, want %d", tc.scale, got, tc.want)
 		}
 	}
 }

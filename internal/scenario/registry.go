@@ -75,21 +75,14 @@ func Names() []string {
 	return out
 }
 
-// clampScale normalizes a scale factor into (0, 1].
-func clampScale(s float64) float64 {
-	if s <= 0 || s > 1 {
-		return 1
+// scaled shrinks x by a CheckScale-valid factor (0 means the default, 1),
+// keeping at least min. Families scale task counts through it, and time
+// windows by its factor, scaled(1.0, scale, 0).
+func scaled[T int | float64](x T, scale float64, min T) T {
+	if scale == 0 {
+		scale = 1
 	}
-	return s
-}
-
-// scaleTasks shrinks a task count, keeping at least min.
-func scaleTasks(n int, scale float64, min int) int {
-	scaled := int(float64(n) * clampScale(scale))
-	if scaled < min {
-		return min
-	}
-	return scaled
+	return max(T(float64(x)*scale), min)
 }
 
 // ParallelismPoints builds a sweep over DAG parallelism.
@@ -108,13 +101,13 @@ func init() {
 		Name: "burst-sweep",
 		Desc: "TX2 MatMul under phase-shifted bursty co-runners sweeping the A57 cluster (plus an independent burst on Denver core 1)",
 		Spec: func(scale float64, seed uint64) Spec {
-			f := clampScale(scale)
+			f := scaled(1.0, scale, 0)
 			return Spec{
 				Name:     "burst-sweep",
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 					Kernel: workloads.MatMul,
-					Tasks:  scaleTasks(32000, f, 600),
+					Tasks:  scaled(32000, f, 600),
 				}},
 				Disturb: []Disturbance{
 					{Kind: Burst, Cluster: 1, Share: 0.4, BusyDur: 1.5 * f, IdleDur: 3 * f, PhaseStep: 1.0 * f},
@@ -130,13 +123,13 @@ func init() {
 		Name: "throttle-ramp",
 		Desc: "TX2 Stencil while the Denver cluster thermal-throttles to 30% mid-run and never recovers",
 		Spec: func(scale float64, seed uint64) Spec {
-			f := clampScale(scale)
+			f := scaled(1.0, scale, 0)
 			return Spec{
 				Name:     "throttle-ramp",
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 					Kernel: workloads.Stencil,
-					Tasks:  scaleTasks(20000, f, 600),
+					Tasks:  scaled(20000, f, 600),
 				}},
 				Disturb: []Disturbance{
 					{Kind: Throttle, Cluster: 0, From: 2.5 * f, To: 7.5 * f, Floor: 0.3, RampSteps: 6},
@@ -151,13 +144,13 @@ func init() {
 		Name: "cholesky-sweep",
 		Desc: "tiled Cholesky DAGs (POTRF/TRSM/SYRK/GEMM) on TX2 under a bursty A57 co-runner, sweeping the tile-grid edge",
 		Spec: func(scale float64, seed uint64) Spec {
-			f := clampScale(scale)
+			f := scaled(1.0, scale, 0)
 			// Scale shrinks the tile grids (task count is ~T³/6) while
 			// the labels keep naming the nominal size, so a 0.1-scale
 			// sweep still has three distinct, comparable points.
 			pts := make([]Point, 0, 3)
 			for _, T := range []int{8, 12, 16} {
-				pts = append(pts, Point{Label: fmt.Sprintf("T%d", T), Tile: scaleTasks(T, f, 3+len(pts))})
+				pts = append(pts, Point{Label: fmt.Sprintf("T%d", T), Tile: scaled(T, f, 3+len(pts))})
 			}
 			return Spec{
 				Name:     "cholesky-sweep",
@@ -176,13 +169,13 @@ func init() {
 		Name: "random-layered",
 		Desc: "seeded random layered DAGs (mixed cpu/mem/mix task classes) on TX2 with a throttling Denver cluster, sweeping layer width",
 		Spec: func(scale float64, seed uint64) Spec {
-			f := clampScale(scale)
+			f := scaled(1.0, scale, 0)
 			return Spec{
 				Name:     "random-layered",
 				Platform: PlatformSpec{Preset: "tx2"},
 				Workload: WorkloadSpec{Kind: DAGGen, DAGGen: dagio.GenConfig{
 					Model:  dagio.ModelRandomLayered,
-					Layers: scaleTasks(96, f, 12),
+					Layers: scaled(96, f, 12),
 					Degree: 3,
 					Seed:   7,
 				}},
@@ -200,7 +193,7 @@ func init() {
 		Desc: "the bundled examples/dag/demo.dot graph through the DOT importer under a paper-style DVFS wave (scale only trims reps; imported graphs have fixed shape)",
 		Spec: func(scale float64, seed uint64) Spec {
 			reps := 3
-			if clampScale(scale) < 0.5 {
+			if scaled(1.0, scale, 0) < 0.5 {
 				reps = 1
 			}
 			return Spec{
@@ -228,7 +221,7 @@ func init() {
 			Name: fmt.Sprintf("scaleout-%d", shape.cores),
 			Desc: fmt.Sprintf("%d-core %d-cluster big/little platform exercising the O(K) Sampled search at high parallelism", shape.cores, shape.clusters),
 			Spec: func(scale float64, seed uint64) Spec {
-				f := clampScale(scale)
+				f := scaled(1.0, scale, 0)
 				// One slow burst per little (odd) cluster, phase-staggered
 				// across clusters, keeps the asymmetry dynamic at scale.
 				var bursts []Disturbance
@@ -244,7 +237,7 @@ func init() {
 					Platform: PlatformSpec{Preset: fmt.Sprintf("scaleout-%dx%d", shape.clusters, shape.per)},
 					Workload: WorkloadSpec{Kind: Synthetic, Synthetic: workloads.SyntheticConfig{
 						Kernel: workloads.MatMul,
-						Tasks:  scaleTasks(32000, scale, 1200),
+						Tasks:  scaled(32000, scale, 1200),
 					}},
 					Disturb: bursts,
 					Policies: []core.Policy{

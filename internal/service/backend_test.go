@@ -29,7 +29,7 @@ func overlapSpec(seed uint64, points ...int) scenario.Spec {
 // the new cells — and still merge to the exact fingerprint a from-scratch
 // run produces.
 func TestPartialOverlapReusesCells(t *testing.T) {
-	m := NewManager(Config{Workers: 2, CacheSize: 8})
+	m, srv := newTestServer(t, Config{Workers: 2, CacheSize: 8})
 	a := overlapSpec(31, 2, 4)
 	ja, _, err := m.Submit(a)
 	if err != nil {
@@ -71,6 +71,17 @@ func TestPartialOverlapReusesCells(t *testing.T) {
 	stats := m.Stats()
 	if stats.CellHits != cellsA || stats.CellMisses != cellsA+delta {
 		t.Errorf("stats count %d hits / %d misses, want %d / %d", stats.CellHits, stats.CellMisses, cellsA, cellsA+delta)
+	}
+	// Stats and /metrics read the same counters, so they must agree.
+	body := scrape(t, srv.URL)
+	for series, want := range map[string]int64{
+		"asymd_cell_cache_hits_total":   stats.CellHits,
+		"asymd_cell_cache_misses_total": stats.CellMisses,
+		"asymd_cell_runs_total":         stats.CellRuns,
+	} {
+		if got := metricValue(t, body, series); got != float64(want) {
+			t.Errorf("%s = %v, Stats says %d", series, got, want)
+		}
 	}
 }
 

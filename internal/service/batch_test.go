@@ -85,8 +85,8 @@ func TestExecuteCancelKeepsCompletedResults(t *testing.T) {
 	if completed != 2 {
 		t.Errorf("cancelled shard kept %d completed results, want 2", completed)
 	}
-	if got := b.cellRuns.Load(); got != 2 {
-		t.Errorf("cellRuns = %d after cancellation, want 2 (abandoned cells must not count)", got)
+	if got := b.runs.Value(); got != 2 {
+		t.Errorf("runs = %d after cancellation, want 2 (abandoned cells must not count)", got)
 	}
 }
 

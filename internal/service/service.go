@@ -326,9 +326,6 @@ type Manager struct {
 
 	wg   sync.WaitGroup // running job goroutines
 	runs atomic.Int64   // jobs actually executed (not absorbed)
-
-	cellHits   atomic.Int64 // cells served from the cell cache
-	cellMisses atomic.Int64 // cells dispatched to a backend
 }
 
 // NewManager builds a Manager.
@@ -699,8 +696,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 	for _, c := range claimed {
 		misses += mult[c.Hash]
 	}
-	m.cellHits.Add(hits)
-	m.cellMisses.Add(misses)
 	m.mx.cellHits.Add(hits)
 	m.mx.cellMisses.Add(misses)
 	j.cellHits.Store(hits)
@@ -734,7 +729,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 			<-p.done
 			if p.ok {
 				results[h] = p.rm
-				m.cellHits.Add(mult[h])
 				m.mx.cellHits.Add(mult[h])
 				j.cellHits.Add(mult[h])
 				onDone(byHash[h])
@@ -748,7 +742,6 @@ func (m *Manager) runJob(ctx context.Context, j *Job) (*scenario.Result, error) 
 	}
 	if len(fallback) > 0 {
 		for _, c := range fallback {
-			m.cellMisses.Add(mult[c.Hash])
 			m.mx.cellMisses.Add(mult[c.Hash])
 			j.cellMisses.Add(mult[c.Hash])
 		}
@@ -1078,7 +1071,7 @@ func (m *Manager) EngineRuns() int64 { return m.runs.Load() }
 
 // CellRuns reports how many cells the local backend has simulated (for
 // its own jobs and for shards served to peers).
-func (m *Manager) CellRuns() int64 { return m.local.cellRuns.Load() }
+func (m *Manager) CellRuns() int64 { return m.local.runs.Value() }
 
 // Jobs snapshots every known job — in flight first (newest submission
 // first), then finished ones from most to least recently used — for the
@@ -1143,9 +1136,9 @@ func (m *Manager) Stats() Stats {
 		EngineRuns:    m.runs.Load(),
 		CellCacheSize: m.cfg.CellCacheSize,
 		CellsCached:   m.cells.Len(),
-		CellHits:      m.cellHits.Load(),
-		CellMisses:    m.cellMisses.Load(),
-		CellRuns:      m.local.cellRuns.Load(),
+		CellHits:      m.mx.cellHits.Value(),
+		CellMisses:    m.mx.cellMisses.Value(),
+		CellRuns:      m.local.runs.Value(),
 		Backends:      backends,
 	}
 }
