@@ -102,10 +102,6 @@ func main() {
 		fatal(err)
 	}
 
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
 	spec := scenario.Spec{
 		Name:     "dagsim",
 		Platform: scenario.PlatformSpec{Preset: *platform},
@@ -114,10 +110,6 @@ func main() {
 		Policies: []core.Policy{pol},
 		Seed:     *seed,
 		Alpha:    *alpha,
-		Trace:    rec,
-		// A trace render wants the probe's counter lanes too, so tracing
-		// implies probing; neither changes the simulated schedule.
-		Probe: *explain || *traceOut != "",
 	}
 	if *progress {
 		spec.Progress = func(done, total int) {
@@ -127,7 +119,16 @@ func main() {
 			}
 		}
 	}
-	res, err := scenario.Run(spec)
+	// A report or trace render wants the probe's telemetry and counter
+	// lanes, so both run the one cell traced; neither changes the
+	// simulated schedule.
+	var res *scenario.Result
+	var rec *trace.Recorder
+	if *explain || *traceOut != "" {
+		res, rec, err = runTraced(spec)
+	} else {
+		res, err = scenario.Run(spec)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -170,6 +171,29 @@ func main() {
 		}
 		fmt.Printf("schedule trace (%d events) written to %s\n", rec.Len(), *traceOut)
 	}
+}
+
+// runTraced runs the spec's one cell with a schedule recorder and probe
+// attached, names the cell's trace row after it, and merges the result.
+func runTraced(spec scenario.Spec) (*scenario.Result, *trace.Recorder, error) {
+	plan, err := scenario.NewPlan(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := plan.Cells[0]
+	if spec.Progress != nil {
+		spec.Progress(0, 1)
+	}
+	rm, rec, err := plan.RunCellTrace(c)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %q: %s: %w", spec.Name, plan.CellLabel(c), err)
+	}
+	if spec.Progress != nil {
+		spec.Progress(1, 1)
+	}
+	rec.Group(0, plan.CellLabel(c))
+	res, err := scenario.Merge(plan, map[string]scenario.RunMetrics{c.Hash: rm})
+	return res, rec, err
 }
 
 // workloadFlags carries the workload-selecting flag values.

@@ -107,22 +107,18 @@ type IterStat struct {
 	Places map[int]int64
 }
 
-// NewCollector returns an empty collector for the platform.
+// NewCollector returns an empty collector for the platform: Reset on a
+// zero collector.
 func NewCollector(topo *topology.Platform) *Collector {
-	nPlaces := len(topo.Places())
-	return &Collector{
-		topo:      topo,
-		coreBusy:  make([]float64, topo.NumCores()),
-		placeAll:  make([]int64, nPlaces),
-		placeHigh: make([]int64, nPlaces),
-	}
+	c := &Collector{}
+	c.Reset(topo)
+	return c
 }
 
-// Reset returns the collector to the observable state NewCollector(topo)
-// produces while reusing its storage, including the per-iteration
-// accumulators, which move to a freelist for the next run. The platform may
-// differ from the one the collector was built with; pooled runtimes rebuild
-// their topology per run.
+// Reset empties the collector for a run on topo while reusing its storage,
+// including the per-iteration accumulators, which move to a freelist for
+// the next run. The platform may differ from the previous run's; pooled
+// runtimes rebuild their topology per run.
 func (c *Collector) Reset(topo *topology.Platform) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

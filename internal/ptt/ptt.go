@@ -71,17 +71,8 @@ const DefaultAlpha = 1.0 / 5.0
 // (the "1" configuration of Figure 8). Passing alpha <= 0 selects
 // DefaultAlpha.
 func NewTable(topo *topology.Platform, alpha float64) *Table {
-	alpha = clampAlpha(alpha)
-	n := len(topo.Places())
-	t := &Table{
-		topo:          topo,
-		alpha:         alpha,
-		oneMinusAlpha: 1 - alpha,
-		entries:       make([]atomic.Uint64, n),
-		counts:        make([]atomic.Uint64, n),
-		bestLocalCost: make([]atomic.Uint64, topo.NumCores()),
-	}
-	t.gen.Store(1)
+	t := &Table{}
+	t.adopt(topo, alpha)
 	return t
 }
 
@@ -96,9 +87,6 @@ func clampAlpha(alpha float64) float64 {
 	}
 	return alpha
 }
-
-// Alpha returns the new-observation weight used by Update.
-func (t *Table) Alpha() float64 { return t.alpha }
 
 // Platform returns the platform the table is indexed by.
 func (t *Table) Platform() *topology.Platform { return t.topo }
@@ -171,9 +159,10 @@ func (t *Table) Reset() {
 }
 
 // adopt rebinds the table to a (possibly different) platform and alpha and
-// clears it, reusing the entry storage when the shapes match. It is the
-// pooled-reuse counterpart of NewTable and must not race concurrent
-// readers; registries only call it between runs via Registry.Reset.
+// clears it, reusing the entry storage when the shapes match. NewTable is
+// adopt on a zero table, whose Reset takes gen from 0 to 1. adopt must not
+// race concurrent readers; registries only call it between runs via
+// Registry.Reset.
 func (t *Table) adopt(topo *topology.Platform, alpha float64) {
 	t.topo = topo
 	t.alpha = clampAlpha(alpha)

@@ -30,8 +30,7 @@ import (
 // engine, whose event tiers keep their capacity across cells, and one
 // simulated runtime and one probe per node index, whose queues, pools and
 // per-core state are recycled via Runtime.Reset. A CellState must not be
-// used by two cells concurrently; a nil *CellState is valid and makes
-// RunCellState allocate fresh state (RunCell's path).
+// used by two cells concurrently.
 type CellState struct {
 	engine *sim.Engine
 	// rts and probes are indexed by node. Entries are created by the
@@ -47,12 +46,9 @@ type CellState struct {
 func NewCellState() *CellState { return &CellState{engine: sim.New()} }
 
 // nodes returns the per-node runtime and probe slots for an n-node cell:
-// the state's pools, grown as needed, or fresh empty slots when the caller
-// keeps no state. Empty slots are filled by the cell that runs on them.
+// the state's pools, grown as needed. Empty slots are filled by the cell
+// that runs on them.
 func (st *CellState) nodes(n int) ([]*simrt.Runtime, []*simrt.Probe) {
-	if st == nil {
-		return make([]*simrt.Runtime, n), make([]*simrt.Probe, n)
-	}
 	for len(st.rts) < n {
 		st.rts = append(st.rts, nil)
 		st.probes = append(st.probes, nil)
@@ -61,11 +57,8 @@ func (st *CellState) nodes(n int) ([]*simrt.Runtime, []*simrt.Probe) {
 }
 
 // engineFor returns the engine a cell should run on: the reset per-worker
-// engine, or a fresh one when the caller keeps no state.
+// engine.
 func (st *CellState) engineFor() *sim.Engine {
-	if st == nil {
-		return sim.New()
-	}
 	st.engine.Reset()
 	return st.engine
 }

@@ -93,9 +93,6 @@ func Run(s Spec) (*Result, error) {
 	for i, c := range p.Cells {
 		byHash[c.Hash] = results[i]
 	}
-	if spec.Trace != nil {
-		p.mergeTraces(spec.Trace)
-	}
 	return Merge(p, byHash)
 }
 
@@ -143,8 +140,8 @@ func MustRun(s Spec) *Result {
 
 // runCell executes one repetition of one cell: one runtime per node — a
 // single one for every kind but HeatDist — all on one engine, started in
-// node order and drained by one Engine.Run. st, when non-nil, supplies the
-// worker's reusable engine, runtimes and probes; rec, when non-nil,
+// node order and drained by one Engine.Run. st supplies the worker's
+// reusable engine, runtimes and probes; rec, when non-nil,
 // receives the cell's schedule trace; probed attaches a probe per node and
 // fills RunMetrics.Sched (and, with rec, emits queue/PTT/utilization
 // counter lanes). The trace and Sched place the nodes side by side, node
@@ -227,9 +224,9 @@ func (p *Plan) runCell(st *CellState, c CellJob, rec *trace.Recorder, probed boo
 			}
 			cfg.Probe = probes[node]
 		}
-		// A pooled runtime is recycled with Reset, which replays New's
-		// exact construction sequence, so the cell's metrics cannot
-		// depend on what ran before.
+		// A pooled runtime is recycled with Reset, and New is Reset on a
+		// zero runtime, so the cell's metrics cannot depend on what ran
+		// before.
 		if rts[node] == nil {
 			rts[node], err = simrt.New(cfg)
 		} else {

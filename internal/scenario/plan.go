@@ -67,11 +67,6 @@ type Plan struct {
 	// same-variant cells so a worker sweeps one graph's cells back to
 	// back (see PointVariant).
 	variant []int
-	// cellRecs holds one private trace recorder per cell when the spec
-	// traces (Spec.Trace != nil). Cells record into their own recorder so
-	// concurrent workers never interleave; mergeTraces folds them into
-	// the shared recorder deterministically after the grid drains.
-	cellRecs []*trace.Recorder
 }
 
 // NewPlan validates the spec and expands it into cell jobs.
@@ -107,15 +102,8 @@ func NewPlan(s Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
-		compiled: compiled, variant: variant}
-	if s.Trace != nil {
-		p.cellRecs = make([]*trace.Recorder, len(cells))
-		for i := range p.cellRecs {
-			p.cellRecs[i] = trace.New()
-		}
-	}
-	return p, nil
+	return &Plan{Spec: s, Hash: hash, Canonical: canonical, Cells: cells,
+		compiled: compiled, variant: variant}, nil
 }
 
 // cellHashVersion tags the engine generation in every cell hash. Bump it
@@ -179,29 +167,20 @@ var runCellHook func(p *Plan, c CellJob) (RunMetrics, error, bool)
 // the cell's coordinates: same cell, same metrics, bit for bit, no matter
 // where or when it runs. The returned metrics carry the cell's seed.
 func (p *Plan) RunCell(c CellJob) (RunMetrics, error) {
-	return p.RunCellState(nil, c)
+	return p.RunCellState(NewCellState(), c)
 }
 
 // RunCellState is RunCell with caller-owned scratch state: a sweep worker
 // allocates one CellState and passes it to every cell it runs, so engine
 // event storage, runtimes and probes are reused across the sweep. The state
 // never influences the metrics — RunCellState(st, c) and RunCell(c) are
-// bit-identical. A nil state is valid (RunCell's path).
+// bit-identical.
 func (p *Plan) RunCellState(st *CellState, c CellJob) (RunMetrics, error) {
-	var rec *trace.Recorder
-	if i := p.cellIndex(c); i >= 0 && i < len(p.cellRecs) {
-		rec = p.cellRecs[i]
-	}
-	return p.runCell(st, c, rec, p.Spec.Probe)
-}
-
-// cellIndex returns a cell's position in the plan's grid enumeration.
-func (p *Plan) cellIndex(c CellJob) int {
-	return (c.Policy*len(p.Spec.Points)+c.Point)*p.Spec.Reps + c.Rep
+	return p.runCell(st, c, nil, p.Spec.Probe)
 }
 
 // RunCellTrace executes one cell with a private schedule recorder and
-// introspection probe, regardless of the plan spec's Trace/Probe settings.
+// introspection probe, regardless of the plan spec's Probe setting.
 // Cells are pure functions of the plan and the cell coordinates, so the
 // returned trace is exactly the schedule the cell's canonical result came
 // from — whether that result was originally computed here, on a remote
@@ -210,31 +189,11 @@ func (p *Plan) cellIndex(c CellJob) int {
 // lanes; the returned metrics carry the Sched aggregate.
 func (p *Plan) RunCellTrace(c CellJob) (RunMetrics, *trace.Recorder, error) {
 	rec := trace.New()
-	rm, err := p.runCell(nil, c, rec, true)
+	rm, err := p.runCell(NewCellState(), c, rec, true)
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
 	return rm, rec, nil
-}
-
-// mergeTraces folds the per-cell recorders into dst in cell-index order,
-// each cell's lanes under its own process row named by the cell label. The
-// fold is deterministic regardless of which workers ran which cells.
-func (p *Plan) mergeTraces(dst *trace.Recorder) {
-	for ci, rec := range p.cellRecs {
-		if rec == nil {
-			continue
-		}
-		dst.Group(ci, p.CellLabel(p.Cells[ci]))
-		for _, ev := range rec.Events() {
-			ev.Pid = ci
-			dst.Add(ev)
-		}
-		for _, cp := range rec.Counters() {
-			cp.Pid = ci
-			dst.AddCounter(cp)
-		}
-	}
 }
 
 // Merge assembles cell results (keyed by cell hash) into the plan's

@@ -20,7 +20,11 @@ func stateFingerprint(t *testing.T, s Spec, st *CellState) string {
 	}
 	results := make(map[string]RunMetrics, len(p.Cells))
 	for _, c := range p.Cells {
-		rm, err := p.RunCellState(st, c)
+		cs := st
+		if cs == nil {
+			cs = NewCellState()
+		}
+		rm, err := p.RunCellState(cs, c)
 		if err != nil {
 			t.Fatalf("%s: %v", p.CellLabel(c), err)
 		}

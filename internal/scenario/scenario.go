@@ -27,7 +27,6 @@ import (
 	"dynasym/internal/dagio"
 	"dynasym/internal/interfere"
 	"dynasym/internal/topology"
-	"dynasym/internal/trace"
 	"dynasym/internal/workloads"
 )
 
@@ -315,25 +314,19 @@ type Spec struct {
 	// Latency and Bandwidth describe the interconnect for HeatDist
 	// scenarios (defaults: 2 µs, 5 GB/s).
 	Latency, Bandwidth float64
-	// Trace, when non-nil, records the schedule of the run. Multi-cell
-	// specs record each cell into a private per-cell recorder and merge
-	// them here in cell-index order after the grid drains, each cell under
-	// its own trace process row. A distributed cell's nodes share the row,
-	// node k's cores numbered from k×cores.
-	Trace *trace.Recorder
 	// Probe, when true, attaches a scheduler-introspection probe to every
 	// cell run and fills RunMetrics.Sched with the per-core time
 	// breakdown, steal matrix, queue-depth and PTT-error telemetry.
 	// Telemetry is pure observation — fingerprints are byte-identical
-	// with Probe on or off. Execution-only like Workers and Trace
-	// (CanonicalJSON and Hash ignore it). A distributed cell's breakdown
+	// with Probe on or off. Execution-only like Workers (CanonicalJSON
+	// and Hash ignore it). A distributed cell's breakdown
 	// places its nodes side by side, as CoreBusy does.
 	Probe bool
 	// Progress, when non-nil, receives cell-completion updates from Run:
 	// once with (0, total) before execution starts, then once after every
 	// finished (policy × point × repetition) cell. Calls come from
 	// concurrent worker goroutines; the hook must be safe for concurrent
-	// use. Like Workers and Trace, Progress is execution plumbing, not
+	// use. Like Workers, Progress is execution plumbing, not
 	// part of the scenario's identity — CanonicalJSON and Hash ignore it.
 	Progress func(done, total int)
 }

@@ -184,8 +184,8 @@ func (rt *Runtime) Sched(span float64) *metrics.Sched {
 		PTTErrSum:    p.pttErrSum,
 	}
 	for i, c := range rt.cores {
-		s.Dispatch[i] = float64(c.dispatches) * rt.cfg.DispatchCost
-		s.Steal[i] = float64(c.steals) * rt.cfg.StealCost
+		s.Dispatch[i] = float64(c.dispatches) * dispatchCost
+		s.Steal[i] = float64(c.steals) * stealCost
 		s.Idle[i] = max(0, span-busy[i]-s.Dispatch[i]-s.Steal[i])
 	}
 	// Close the depth integrals at the span (the final stretch after

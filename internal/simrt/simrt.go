@@ -21,6 +21,15 @@
 // Virtual time, stealing victims and measurement jitter are all
 // deterministic functions of the configuration seed.
 //
+// # Cost model
+//
+// The protocol's own overheads are package constants: 0.2 µs per dispatch,
+// 1 µs per steal attempt, 0.5 µs wake latency, a 20 µs idle poll, and a 2%
+// chance per execution of a 0.1–0.5 ms preemption outlier (the noise the
+// paper's weighted PTT update absorbs). They are calibration data for the
+// runtime the paper builds on, not user settings: every pinned figure
+// depends on them, so they change only together with the goldens.
+//
 // # Event kinds
 //
 // The runtime drives the engine through sim's typed, allocation-free event
@@ -83,11 +92,6 @@ type Config struct {
 	Alpha float64
 	// Seed drives all randomness (stealing, jitter).
 	Seed uint64
-	// Collector receives metrics; nil allocates a private one.
-	Collector *metrics.Collector
-	// Registry supplies pre-trained trace tables; nil allocates fresh
-	// ones.
-	Registry *ptt.Registry
 	// Engine is the event engine the runtime schedules on; nil allocates a
 	// private one. Runtimes that share an engine share one virtual clock:
 	// start each with Start, then drive the engine once (a distributed
@@ -105,29 +109,6 @@ type Config struct {
 	// probed run is bit-identical to an unprobed one, and a nil Probe
 	// costs one pointer check per hook site.
 	Probe *Probe
-
-	// DispatchCost is the virtual time a worker spends per dispatch
-	// (dequeue + placement decision + AQ insertion). Default 0.2 µs.
-	DispatchCost float64
-	// StealCost is the virtual time for one steal attempt. Default 1 µs.
-	StealCost float64
-	// WakeLatency is the delay between work appearing and an idle core
-	// noticing. Default 0.5 µs.
-	WakeLatency float64
-	// PreemptProb is the probability that one task execution absorbs a
-	// short isolated system event (OS tick, interrupt); such outliers are
-	// what the paper's weighted PTT update is designed to absorb.
-	// Default 0.02; negative disables.
-	PreemptProb float64
-	// PreemptMin/PreemptMax bound the uniformly drawn preemption delay in
-	// seconds. Defaults 0.1 ms and 0.5 ms (timer ticks and daemon blips
-	// on a busy embedded board).
-	PreemptMin, PreemptMax float64
-	// PollDelay is how long an idle worker waits before probing for work
-	// that appeared on another core's queue (idle workers poll rather
-	// than receive targeted wakeups, like XiTAO's spin-steal loop with
-	// yields). Default 20 µs.
-	PollDelay float64
 	// RunBodies makes the simulator execute task bodies (at zero virtual
 	// cost) so applications compute real results under simulated
 	// scheduling — a functional simulation. Durations still come from
@@ -136,6 +117,31 @@ type Config struct {
 	// nothing else — may vary between runs.
 	RunBodies bool
 }
+
+// The runtime cost model (see the package comment).
+const (
+	// dispatchCost is the virtual time a worker spends per dispatch
+	// (dequeue + placement decision + AQ insertion).
+	dispatchCost = 0.2e-6
+	// stealCost is the virtual time for one steal attempt.
+	stealCost = 1e-6
+	// wakeLatency is the delay between work appearing and an idle core
+	// noticing.
+	wakeLatency = 0.5e-6
+	// preemptProb is the probability that one task execution absorbs a
+	// short isolated system event (OS tick, interrupt); such outliers are
+	// what the paper's weighted PTT update is designed to absorb.
+	preemptProb = 0.02
+	// preemptMin/preemptMax bound the uniformly drawn preemption delay in
+	// seconds (timer ticks and daemon blips on a busy embedded board).
+	preemptMin = 0.1e-3
+	preemptMax = 0.5e-3
+	// pollDelay is how long an idle worker waits before probing for work
+	// that appeared on another core's queue (idle workers poll rather
+	// than receive targeted wakeups, like XiTAO's spin-steal loop with
+	// yields).
+	pollDelay = 20e-6
+)
 
 type coreStateKind int32
 
@@ -219,7 +225,8 @@ type Runtime struct {
 	// loadFn is loadEstimate bound once; a fresh method value per
 	// decision would allocate.
 	loadFn func(core int) float64
-	// tblCache memoizes Registry.Get per task type (stable pointers).
+	// tblCache memoizes Registry.Get per task type. Table pointers are
+	// stable, also across Reset, which clears the registry's tables in place.
 	tblCache []*ptt.Table
 	// soa mirrors per-task scheduling state into dense slices (see soa.go).
 	soa taskSoA
@@ -228,17 +235,12 @@ type Runtime struct {
 	// consult is measurable at scale-out event rates.
 	prioSteal bool
 	usesPTT   bool
-	// privEngine/privReg/privColl record which shared components the runtime
-	// allocated itself (the matching Config field was nil), so Reset knows
-	// whether it owns them and may recycle them in place.
+	// privEngine records that the runtime allocated its engine itself
+	// (Config.Engine was nil), so Reset owns it and may recycle it in place.
 	privEngine bool
-	privReg    bool
-	privColl   bool
 }
 
-// validateConfig checks the required fields and fills in the defaults,
-// mutating cfg in place. New and Reset share it so a reset runtime accepts
-// exactly the configurations a fresh one would.
+// validateConfig checks the required fields.
 func validateConfig(cfg *Config) error {
 	if cfg.Topo == nil {
 		return fmt.Errorf("simrt: Config.Topo is required")
@@ -252,75 +254,23 @@ func validateConfig(cfg *Config) error {
 	if cfg.Model.Platform() != cfg.Topo {
 		return fmt.Errorf("simrt: Model built for a different platform")
 	}
-	if cfg.DispatchCost <= 0 {
-		cfg.DispatchCost = 0.2e-6
-	}
-	if cfg.StealCost <= 0 {
-		cfg.StealCost = 1e-6
-	}
-	if cfg.WakeLatency <= 0 {
-		cfg.WakeLatency = 0.5e-6
-	}
-	if cfg.PreemptProb == 0 {
-		cfg.PreemptProb = 0.02
-	}
-	if cfg.PreemptProb < 0 {
-		cfg.PreemptProb = 0
-	}
-	if cfg.PreemptMin <= 0 {
-		cfg.PreemptMin = 0.1e-3
-	}
-	if cfg.PreemptMax <= cfg.PreemptMin {
-		cfg.PreemptMax = 0.5e-3
-	}
-	if cfg.PollDelay <= 0 {
-		cfg.PollDelay = 20e-6
-	}
 	return nil
 }
 
-// New validates the configuration and builds a runtime.
+// New validates the configuration and builds a runtime: Reset on a zero
+// runtime.
 func New(cfg Config) (*Runtime, error) {
-	if err := validateConfig(&cfg); err != nil {
+	rt := &Runtime{root: new(xrand.RNG)}
+	if err := rt.Reset(cfg); err != nil {
 		return nil, err
-	}
-	rt := &Runtime{
-		cfg:    cfg,
-		engine: cfg.Engine,
-		topo:   cfg.Topo,
-		model:  cfg.Model,
-		policy: cfg.Policy,
-		reg:    cfg.Registry,
-		coll:   cfg.Collector,
-		root:   xrand.New(cfg.Seed),
-	}
-	if rt.engine == nil {
-		rt.engine = sim.New()
-		rt.privEngine = true
-	}
-	if rt.reg == nil {
-		rt.reg = ptt.NewRegistry(cfg.Topo, cfg.Alpha)
-		rt.privReg = true
-	}
-	if rt.coll == nil {
-		rt.coll = metrics.NewCollector(cfg.Topo)
-		rt.privColl = true
-	}
-	rt.prioSteal = cfg.Policy.AllowPrioritySteal()
-	rt.usesPTT = cfg.Policy.UsesPTT()
-	rt.loadFn = rt.loadEstimate
-	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
-	rt.buildCores()
-	if cfg.Probe != nil {
-		cfg.Probe.reset(len(rt.cores))
 	}
 	return rt, nil
 }
 
 // buildCores (re)allocates the per-core state, bitmaps, and assembly pool
 // for the current topology. The per-core RNGs are split off the root in
-// ascending core order; New and Reset both rely on that draw sequence being
-// identical.
+// ascending core order; Reset's same-shape path replays that draw sequence
+// with SplitInto.
 func (rt *Runtime) buildCores() {
 	rt.cores = make([]*coreState, rt.topo.NumCores())
 	words := (rt.topo.NumCores() + 63) / 64
@@ -343,25 +293,21 @@ func (rt *Runtime) buildCores() {
 	}
 }
 
-// Reset returns the runtime to the observable state New(cfg) produces while
-// reusing its allocations — core states, queue rings, the assembly pool,
-// per-core RNGs, and (when privately owned) the engine, registry, and
-// collector. Scenario runners execute thousands of short cells back to
-// back; rebuilding the runtime per cell dominated their allocation profile.
-//
-// The reused runtime is bit-identical to a fresh one: the RNG reseed and
-// per-core splits replay New's exact draw sequence, and the PTT generation
-// counters only ever advance, so no stale cached decision can survive.
-// Reset accepts a different topology/policy/seed than the previous run
-// (shape changes rebuild the per-core state).
+// Reset prepares the runtime for a run under cfg, reusing its allocations
+// — core states, queue rings, the assembly pool, per-core RNGs, the
+// registry and collector, and (when privately owned) the engine — so
+// scenario runners can sweep thousands of short cells on one runtime. New
+// is Reset on a zero runtime, so a reset runtime is bit-identical to a
+// fresh one: the RNG reseed and per-core splits replay the same draw
+// sequence, and the PTT generation counters only ever advance, so no stale
+// cached decision can survive. Shape changes rebuild the per-core state.
 func (rt *Runtime) Reset(cfg Config) error {
 	if err := validateConfig(&cfg); err != nil {
 		return err
 	}
-	// Shared components: adopt the caller's when provided, recycle our own
-	// private ones otherwise. A runtime that previously adopted a shared
-	// component must not reset it — the caller owns it — so it allocates a
-	// fresh private one instead.
+	// Config.Engine belongs to the caller; a private engine is recycled. A
+	// runtime that previously ran on the caller's engine must not reset it,
+	// so it allocates a private one instead.
 	if cfg.Engine != nil {
 		rt.engine = cfg.Engine
 		rt.privEngine = false
@@ -371,23 +317,13 @@ func (rt *Runtime) Reset(cfg Config) error {
 		rt.engine = sim.New()
 		rt.privEngine = true
 	}
-	if cfg.Registry != nil {
-		rt.reg = cfg.Registry
-		rt.privReg = false
-	} else if rt.privReg {
-		rt.reg.Reset(cfg.Topo, cfg.Alpha)
-	} else {
+	if rt.reg == nil { // first use
 		rt.reg = ptt.NewRegistry(cfg.Topo, cfg.Alpha)
-		rt.privReg = true
-	}
-	if cfg.Collector != nil {
-		rt.coll = cfg.Collector
-		rt.privColl = false
-	} else if rt.privColl {
-		rt.coll.Reset(cfg.Topo)
-	} else {
 		rt.coll = metrics.NewCollector(cfg.Topo)
-		rt.privColl = true
+		rt.loadFn = rt.loadEstimate
+	} else {
+		rt.reg.Reset(cfg.Topo, cfg.Alpha)
+		rt.coll.Reset(cfg.Topo)
 	}
 	sameShape := rt.topo != nil && len(rt.cores) == cfg.Topo.NumCores()
 	rt.cfg = cfg
@@ -417,11 +353,6 @@ func (rt *Runtime) Reset(cfg Config) error {
 		}
 	} else {
 		rt.buildCores()
-	}
-	// The table cache is keyed by type id against the (possibly replaced)
-	// registry; drop every entry in place.
-	for i := range rt.tblCache {
-		rt.tblCache[i] = nil
 	}
 	rt.ctxScratch = core.Context{Topo: rt.topo, RR: &rt.rr, Load: rt.loadFn}
 	// The task mirror is rebuilt at Start; release the previous graph's
@@ -510,18 +441,12 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 // Collector returns the runtime's metrics collector.
 func (rt *Runtime) Collector() *metrics.Collector { return rt.coll }
 
-// Registry returns the runtime's PTT registry.
-func (rt *Runtime) Registry() *ptt.Registry { return rt.reg }
-
-// Policy returns the runtime's scheduling policy.
-func (rt *Runtime) Policy() core.Policy { return rt.policy }
-
 // Makespan returns the virtual time at which the last task finished.
 func (rt *Runtime) Makespan() float64 { return rt.makespan }
 
-// Run executes the graph to completion on a private engine and returns the
-// collector. It fails if the configuration shares an engine (use Start and
-// drive the engine yourself) or if execution stalls.
+// Run starts the graph, drives the runtime's engine — its private one or
+// Config.Engine — until the event queue drains, and returns the collector,
+// or Check's stall error if tasks remain outstanding.
 func (rt *Runtime) Run(g *dag.Graph) (*metrics.Collector, error) {
 	if err := rt.Start(g); err != nil {
 		return nil, err
@@ -568,7 +493,7 @@ func (rt *Runtime) Start(g *dag.Graph) error {
 		return nil
 	}
 	for _, c := range rt.cores {
-		rt.scheduleStep(c, rt.cfg.WakeLatency)
+		rt.scheduleStep(c, wakeLatency)
 	}
 	return nil
 }
@@ -607,7 +532,7 @@ func (rt *Runtime) table(id ptt.TypeID) *ptt.Table {
 }
 
 // ctx refills the runtime's scratch decision context. The invariant fields
-// (Topo, RR, Load) are set once in New; only the per-decision fields are
+// (Topo, RR, Load) are set once in Reset; only the per-decision fields are
 // written here. Policies consume the context within the
 // WakePlace/DispatchPlace call, so one scratch per runtime suffices and the
 // hot path stays allocation-free.
@@ -652,7 +577,7 @@ func (rt *Runtime) wakeTask(tr int32, waker int) {
 	if p := rt.cfg.Probe; p != nil {
 		p.queueDelta(rt.engine.Now(), 1, 0)
 	}
-	rt.scheduleStep(target, rt.cfg.WakeLatency)
+	rt.scheduleStep(target, wakeLatency)
 	if tr&1 == 0 || rt.prioSteal {
 		// Idle workers discover remote work by polling, with a per-core
 		// stagger so probes do not stampede. The bitmap walk visits
@@ -662,7 +587,7 @@ func (rt *Runtime) wakeTask(tr int32, waker int) {
 			for word != 0 {
 				c := rt.cores[wi<<6+bits.TrailingZeros64(word)]
 				word &= word - 1
-				rt.scheduleStep(c, rt.cfg.PollDelay*(0.5+c.rng.Float64()))
+				rt.scheduleStep(c, pollDelay*(0.5+c.rng.Float64()))
 			}
 		}
 	}
@@ -690,7 +615,7 @@ func (rt *Runtime) step(c *coreState) {
 			}
 			rt.dispatch(c, t)
 			c.dispatches++
-			rt.engine.AfterEvent(rt.cfg.DispatchCost, c, evStep)
+			rt.engine.AfterEvent(dispatchCost, c, evStep)
 			return
 		}
 	}
@@ -718,7 +643,7 @@ func (rt *Runtime) step(c *coreState) {
 		}
 		rt.dispatch(c, t)
 		c.dispatches++
-		rt.engine.AfterEvent(rt.cfg.DispatchCost, c, evStep)
+		rt.engine.AfterEvent(dispatchCost, c, evStep)
 		return
 	}
 
@@ -748,7 +673,7 @@ func (rt *Runtime) step(c *coreState) {
 			p.stole(v.id, c.id, t&1 != 0)
 		}
 		rt.dispatch(c, t)
-		rt.engine.AfterEvent(rt.cfg.StealCost, c, evStep)
+		rt.engine.AfterEvent(stealCost, c, evStep)
 		return
 	}
 	c.failedSteals++
@@ -781,7 +706,7 @@ func (rt *Runtime) dispatch(c *coreState, tr int32) {
 		} else {
 			m.aq.PushBack(a)
 		}
-		rt.scheduleStep(m, rt.cfg.WakeLatency)
+		rt.scheduleStep(m, wakeLatency)
 	}
 	if p := rt.cfg.Probe; p != nil {
 		p.queueDelta(rt.engine.Now(), 0, pl.Width)
@@ -942,8 +867,8 @@ func (rt *Runtime) drawJitter(leader int) machine.Jitter {
 	if rt.model.TimerRes > 0 {
 		j.Add += math.Abs(rng.NormFloat64()) * rt.model.TimerRes
 	}
-	if rt.cfg.PreemptProb > 0 && rng.Float64() < rt.cfg.PreemptProb {
-		j.Add += rt.cfg.PreemptMin + (rt.cfg.PreemptMax-rt.cfg.PreemptMin)*rng.Float64()
+	if rng.Float64() < preemptProb {
+		j.Add += preemptMin + (preemptMax-preemptMin)*rng.Float64()
 	}
 	return j
 }

@@ -184,11 +184,6 @@ func (p *Platform) Cluster(i int) Cluster { return p.clusters[i] }
 // ClusterOf returns the index of the cluster containing core.
 func (p *Platform) ClusterOf(core int) int { return p.coreCluster[core] }
 
-// ClusterOfCore returns the cluster description containing core.
-func (p *Platform) ClusterOfCore(core int) Cluster {
-	return p.clusters[p.coreCluster[core]]
-}
-
 // MaxWidth returns the largest valid width on any cluster.
 func (p *Platform) MaxWidth() int { return p.maxWidth }
 

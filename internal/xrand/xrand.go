@@ -26,18 +26,16 @@ const (
 	pcgIncInit    = 0xda3e39cb94b95bdb
 )
 
-// New returns an RNG seeded with seed. Two RNGs built from the same seed
-// produce identical streams.
+// New returns an RNG seeded with seed: Reseed on a zero RNG. Two RNGs
+// built from the same seed produce identical streams.
 func New(seed uint64) *RNG {
-	r := &RNG{state: pcgInit, inc: pcgIncInit | 1}
-	r.state += seed
-	r.next()
+	r := &RNG{}
+	r.Reseed(seed)
 	return r
 }
 
-// Reseed returns r to the exact state New(seed) produces, so pooled
-// runtimes can reuse RNG allocations across runs with byte-identical
-// streams.
+// Reseed restarts r's stream from seed, so pooled runtimes can reuse RNG
+// allocations across runs with byte-identical streams.
 func (r *RNG) Reseed(seed uint64) {
 	r.state = pcgInit + seed
 	r.inc = pcgIncInit | 1
@@ -77,9 +75,6 @@ func (r *RNG) Uint64() uint64 {
 	return uint64(r.next())<<32 | uint64(r.next())
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *RNG) Uint32() uint32 { return r.next() }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -96,11 +91,6 @@ func (r *RNG) Intn(n int) int {
 			return int(m >> 32)
 		}
 	}
-}
-
-// Int63 returns a uniformly distributed non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

@@ -40,16 +40,12 @@ type Config struct {
 	Alpha float64
 	// Seed drives stealing randomness.
 	Seed uint64
-	// Collector receives metrics; nil allocates a private one.
-	Collector *metrics.Collector
-	// Registry supplies pre-trained trace tables; nil allocates fresh.
-	Registry *ptt.Registry
 	// Pin requests best-effort thread-to-CPU pinning (Linux only).
 	Pin bool
-	// IdleSleep is how long an idle worker sleeps between steal sweeps.
-	// Default 50 µs.
-	IdleSleep time.Duration
 }
+
+// idleSleep is how long an idle worker sleeps between steal sweeps.
+const idleSleep = 50 * time.Microsecond
 
 // assembly is one committed moldable execution.
 type assembly struct {
@@ -83,6 +79,10 @@ type Runtime struct {
 	rr      atomic.Uint64
 	workers []*worker
 	graph   *dag.Graph
+	// dispatchMu serializes multi-queue AQ insertion so the relative order
+	// of any two assemblies is identical in every queue they share (keeps
+	// the rendezvous deadlock-free, as in the simulator).
+	dispatchMu sync.Mutex
 
 	start    time.Time
 	finished atomic.Bool
@@ -99,22 +99,13 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("xtr: Config.Policy is required")
 	}
-	if cfg.IdleSleep <= 0 {
-		cfg.IdleSleep = 50 * time.Microsecond
-	}
 	rt := &Runtime{
 		cfg:    cfg,
 		topo:   cfg.Topo,
 		policy: cfg.Policy,
-		reg:    cfg.Registry,
-		coll:   cfg.Collector,
+		reg:    ptt.NewRegistry(cfg.Topo, cfg.Alpha),
+		coll:   metrics.NewCollector(cfg.Topo),
 		doneCh: make(chan struct{}),
-	}
-	if rt.reg == nil {
-		rt.reg = ptt.NewRegistry(cfg.Topo, cfg.Alpha)
-	}
-	if rt.coll == nil {
-		rt.coll = metrics.NewCollector(cfg.Topo)
 	}
 	root := xrand.New(cfg.Seed)
 	rt.workers = make([]*worker, cfg.Topo.NumCores())
@@ -123,9 +114,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	return rt, nil
 }
-
-// Collector returns the runtime's metrics collector.
-func (rt *Runtime) Collector() *metrics.Collector { return rt.coll }
 
 // Registry returns the runtime's PTT registry.
 func (rt *Runtime) Registry() *ptt.Registry { return rt.reg }
@@ -270,11 +258,6 @@ func (w *worker) popAssembly() (*assembly, bool) {
 	return a, true
 }
 
-// dispatchMu serializes multi-queue AQ insertion so the relative order of
-// any two assemblies is identical in every queue they share (keeps the
-// rendezvous deadlock-free, as in the simulator).
-var dispatchMu sync.Mutex
-
 // dispatch runs the final placement decision and inserts the assembly.
 func (rt *Runtime) dispatch(w *worker, t *dag.Task) {
 	pl := rt.policy.DispatchPlace(rt.ctx(w.id, t, w.rng))
@@ -283,7 +266,7 @@ func (rt *Runtime) dispatch(w *worker, t *dag.Task) {
 	}
 	t.MarkRunning()
 	a := &assembly{task: t, place: pl}
-	dispatchMu.Lock()
+	rt.dispatchMu.Lock()
 	for i := 0; i < pl.Width; i++ {
 		m := rt.workers[pl.Leader+i]
 		m.mu.Lock()
@@ -298,7 +281,7 @@ func (rt *Runtime) dispatch(w *worker, t *dag.Task) {
 		}
 		m.mu.Unlock()
 	}
-	dispatchMu.Unlock()
+	rt.dispatchMu.Unlock()
 	atomic.AddInt64(&w.dispatches, 1)
 }
 
@@ -379,7 +362,7 @@ func (rt *Runtime) workerLoop(w *worker) {
 			}
 			return
 		default:
-			time.Sleep(rt.cfg.IdleSleep)
+			time.Sleep(idleSleep)
 		}
 	}
 }

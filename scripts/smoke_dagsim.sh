@@ -7,7 +7,10 @@
 #  3. import the JSON twin (demo.json) and assert it reports the same
 #     content digest — format and declaration order cannot change the
 #     workload's identity;
-#  4. generate a Cholesky DAG and assert its fingerprint is stable too.
+#  4. generate a Cholesky DAG and assert its fingerprint is stable too;
+#  5. rerun it traced (-explain -trace) and assert the same fingerprint, a
+#     per-core time breakdown in the report, and a Chrome trace holding
+#     process-name, task and counter entries.
 #
 # Used by CI (dagsim-smoke step) and runnable locally.
 set -eu
@@ -53,5 +56,17 @@ GTASKS="${D%% *}"
 [ "$GTASKS" -eq 120 ] || { echo "cholesky T=8 completed $GTASKS tasks, want 120"; exit 1; }
 [ "$D" = "$E" ] || { echo "generated-run fingerprint unstable: '$D' vs '$E'"; exit 1; }
 echo "cholesky gen OK: $GTASKS tasks, fingerprint ${D##* }"
+
+# 5: the traced path replays run D's schedule and renders it.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+out="$("$BIN" -gen cholesky -tiles 8 -interfere dvfs -fingerprint -explain -trace "$TMP/sched.json")"
+fp="$(printf '%s\n' "$out" | sed -n 's/^fingerprint: \([0-9a-f]*\)$/\1/p')"
+[ "$fp" = "${D##* }" ] || { echo "traced fingerprint '$fp' differs from untraced '${D##* }'"; exit 1; }
+printf '%s\n' "$out" | grep -q 'per-core time breakdown' || { echo "-explain printed no per-core time breakdown"; exit 1; }
+for ph in M X C; do
+	grep -q "\"ph\":\"$ph\"" "$TMP/sched.json" || { echo "trace holds no \"ph\":\"$ph\" entries"; exit 1; }
+done
+echo "traced run OK: fingerprint $fp"
 
 echo "dagsim smoke OK"
