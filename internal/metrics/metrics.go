@@ -39,7 +39,7 @@ type Collector struct {
 	// short pair slice beats a map assignment per task by a wide margin.
 	// byIterSparse catches tags above maxDenseIter so arbitrary
 	// iteration numbers still work. IterStats materializes the public
-	// map form on readout.
+	// dense rows on readout.
 	byIter       []*iterAgg
 	byIterSparse map[int]*iterAgg
 	tasksDone    int64
@@ -103,8 +103,9 @@ type IterStat struct {
 	// observed for the iteration, so End-Start approximates the
 	// iteration's wall time.
 	Start, End float64
-	// Places counts tasks per placeID within the iteration.
-	Places map[int]int64
+	// Places counts tasks per placeID within the iteration, indexed by
+	// place ID over the whole place table (zero where none ran).
+	Places []int64
 }
 
 // NewCollector returns an empty collector for the platform: Reset on a
@@ -289,29 +290,28 @@ func (c *Collector) PlaceHistogram(highOnly bool) []PlaceShare {
 }
 
 // IterStats returns the per-iteration statistics ordered by iteration.
+// Every row's Places spans the platform's place table, and all rows are
+// carved from one backing array.
 func (c *Collector) IterStats() []IterStat {
 	c.mu.Lock()
-	out := make([]IterStat, 0, len(c.byIter)+len(c.byIterSparse))
-	materialize := func(st *iterAgg) {
-		cp := IterStat{
-			Iter:   st.iter,
-			Tasks:  st.tasks,
-			Start:  st.start,
-			End:    st.end,
-			Places: make(map[int]int64, len(st.places)),
-		}
-		for _, pc := range st.places {
-			cp.Places[pc.id] = pc.n
-		}
-		out = append(out, cp)
-	}
+	aggs := make([]*iterAgg, 0, len(c.byIter)+len(c.byIterSparse))
 	for _, st := range c.byIter {
 		if st != nil {
-			materialize(st)
+			aggs = append(aggs, st)
 		}
 	}
 	for _, st := range c.byIterSparse {
-		materialize(st)
+		aggs = append(aggs, st)
+	}
+	width := len(c.placeAll)
+	places := make([]int64, len(aggs)*width)
+	out := make([]IterStat, len(aggs))
+	for i, st := range aggs {
+		row := places[i*width : (i+1)*width : (i+1)*width]
+		for _, pc := range st.places {
+			row[pc.id] = pc.n
+		}
+		out[i] = IterStat{Iter: st.iter, Tasks: st.tasks, Start: st.start, End: st.end, Places: row}
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })

@@ -3,9 +3,10 @@ package metrics
 // Scheduler-introspection telemetry. A simrt.Probe accumulates raw
 // observations during a run and simrt.Runtime.Sched renders them as a
 // Sched aggregate; the scenario layer copies the aggregate into each
-// cell's RunMetrics, the shard wire format carries it between nodes (plain
-// JSON fields), and Merge folds per-cell aggregates into per-policy or
-// per-result views (Beside places a distributed cell's nodes side by side).
+// cell's RunMetrics of a probed in-process run, and Merge folds per-cell
+// aggregates into per-policy or per-result views (Beside places a
+// distributed cell's nodes side by side). Service jobs run unprobed, so
+// Sched never crosses the shard wire.
 // Every field is a sum or a maximum so merging stays exact; the derived
 // rates (mean queue depth, PTT error) are methods over the sums.
 

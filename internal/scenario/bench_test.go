@@ -59,3 +59,21 @@ func BenchmarkUncompiledCellRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFingerprint renders the fingerprint of a scale-0.1
+// burst-sweep grid: 21 cells whose synthetic workload records a stat per
+// DAG layer, about a megabyte of text. The service computes this once
+// per job.
+func BenchmarkFingerprint(b *testing.B) {
+	f, _ := Lookup("burst-sweep")
+	res, err := Run(f.Spec(0.1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(res.Fingerprint())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = res.Fingerprint()
+	}
+}

@@ -417,14 +417,12 @@ func collectRun(rts []*simrt.Runtime) RunMetrics {
 	var rm RunMetrics
 	hists := make([][]metrics.PlaceShare, 0, len(rts))
 	for _, rt := range rts {
-		part := nodeRun(rt)
-		rm.Makespan = max(rm.Makespan, part.Makespan)
-		rm.TasksDone += part.TasksDone
-		rm.CoreBusy = append(rm.CoreBusy, part.CoreBusy...)
-		rm.Steals += part.Steals
-		rm.FailedSteals += part.FailedSteals
-		rm.Dispatches += part.Dispatches
-		hists = append(hists, part.HighHist)
+		coll := rt.Collector()
+		rm.Makespan = max(rm.Makespan, coll.Makespan())
+		rm.TasksDone += coll.TasksDone()
+		rm.CoreBusy = append(rm.CoreBusy, coll.CoreBusy()...)
+		addCounters(&rm, rt)
+		hists = append(hists, coll.PlaceHistogram(true))
 	}
 	rm.HighHist = mergeHists(hists...)
 	if rm.Makespan > 0 {
@@ -454,10 +452,15 @@ func nodeRun(rt *simrt.Runtime) RunMetrics {
 		Iters:      coll.IterStats(),
 		Sched:      rt.Sched(coll.Makespan()),
 	}
+	addCounters(&rm, rt)
+	return rm
+}
+
+// addCounters adds a runtime's per-core scheduler counters to rm.
+func addCounters(rm *RunMetrics, rt *simrt.Runtime) {
 	for _, st := range rt.CoreStats() {
 		rm.Steals += st.Steals
 		rm.FailedSteals += st.FailedSteals
 		rm.Dispatches += st.Dispatches
 	}
-	return rm
 }

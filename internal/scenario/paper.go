@@ -375,8 +375,10 @@ func viewFig9Places(policy string) func(io.Writer, Spec, *Result) {
 		iters := cell.Run().Iters
 		seen := map[int]bool{}
 		for _, st := range iters {
-			for id := range st.Places {
-				seen[id] = true
+			for id, n := range st.Places {
+				if n != 0 {
+					seen[id] = true
+				}
 			}
 		}
 		ids := make([]int, 0, len(seen))

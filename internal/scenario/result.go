@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dynasym/internal/metrics"
 	"dynasym/internal/topology"
@@ -34,11 +34,12 @@ type RunMetrics struct {
 	// all cores (and nodes).
 	Steals, FailedSteals, Dispatches int64
 	// Sched carries scheduler-introspection telemetry when the run
-	// executed with a probe (Spec.Probe); nil otherwise. It rides the
-	// shard wire format like every other field, so remote cells report
-	// too. Deliberately not part of Fingerprint: telemetry describes a
-	// run, it does not define one.
-	Sched *metrics.Sched `json:",omitempty"`
+	// executed with a probe (Spec.Probe); nil otherwise. The service runs
+	// every job without a probe, so its cells, local or remote, never
+	// carry Sched and the shard wire has no field for it; in-process runs
+	// (scenario.Run, explain, simtrace) fill it. Deliberately not part of
+	// Fingerprint: telemetry describes a run, it does not define one.
+	Sched *metrics.Sched
 }
 
 // Cell is one (policy, point) position of the grid with all repetitions.
@@ -138,49 +139,109 @@ func (r *Result) WriteTable(w io.Writer) {
 
 // Fingerprint serializes every metric of every repetition bit-exactly.
 // Two runs of the same spec must produce identical fingerprints; the
-// determinism regression tests rely on this.
+// determinism regression tests rely on this. Floats print as the hex of
+// their bits; an iteration's places print as "id=count" pairs, nonzero
+// counts in place-ID order. The text is appended with strconv into one
+// buffer sized up front: a synthetic grid carries a stat per DAG layer,
+// so this runs over megabytes per result.
 func (r *Result) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario=%s topo=%s\n", r.Name, r.Topo)
+	b := make([]byte, 0, r.fingerprintSize())
+	b = append(b, "scenario="...)
+	b = append(b, r.Name...)
+	b = append(b, " topo="...)
+	b = append(b, r.Topo.String()...)
+	b = append(b, '\n')
 	for pi, p := range r.Policies {
 		for xi, pt := range r.Points {
 			for rep, run := range r.Cells[pi][xi].Runs {
-				fmt.Fprintf(&b, "%s/%s/r%d seed=%d tput=%x mk=%x tasks=%d steals=%d fsteals=%d disp=%d\n",
-					p, pt.Label, rep, run.Seed,
-					math.Float64bits(run.Throughput), math.Float64bits(run.Makespan),
-					run.TasksDone, run.Steals, run.FailedSteals, run.Dispatches)
-				b.WriteString(" busy")
+				b = append(b, p...)
+				b = append(b, '/')
+				b = append(b, pt.Label...)
+				b = append(b, "/r"...)
+				b = strconv.AppendInt(b, int64(rep), 10)
+				b = append(b, " seed="...)
+				b = strconv.AppendUint(b, run.Seed, 10)
+				b = append(b, " tput="...)
+				b = appendBits(b, run.Throughput)
+				b = append(b, " mk="...)
+				b = appendBits(b, run.Makespan)
+				b = append(b, " tasks="...)
+				b = strconv.AppendInt(b, run.TasksDone, 10)
+				b = append(b, " steals="...)
+				b = strconv.AppendInt(b, run.Steals, 10)
+				b = append(b, " fsteals="...)
+				b = strconv.AppendInt(b, run.FailedSteals, 10)
+				b = append(b, " disp="...)
+				b = strconv.AppendInt(b, run.Dispatches, 10)
+				b = append(b, "\n busy"...)
 				for _, v := range run.CoreBusy {
-					fmt.Fprintf(&b, " %x", math.Float64bits(v))
+					b = append(b, ' ')
+					b = appendBits(b, v)
 				}
-				b.WriteString("\n hist")
+				b = append(b, "\n hist"...)
 				for _, ps := range run.HighHist {
-					fmt.Fprintf(&b, " %s:%d:%x", ps.Place, ps.Count, math.Float64bits(ps.Frac))
+					b = append(b, " (C"...)
+					b = strconv.AppendInt(b, int64(ps.Place.Leader), 10)
+					b = append(b, ',')
+					b = strconv.AppendInt(b, int64(ps.Place.Width), 10)
+					b = append(b, "):"...)
+					b = strconv.AppendInt(b, ps.Count, 10)
+					b = append(b, ':')
+					b = appendBits(b, ps.Frac)
 				}
-				b.WriteString("\n iters")
+				b = append(b, "\n iters"...)
 				for _, st := range run.Iters {
-					fmt.Fprintf(&b, " %d:%d:%x:%x:%s", st.Iter, st.Tasks,
-						math.Float64bits(st.Start), math.Float64bits(st.End), placesKey(st.Places))
+					b = append(b, ' ')
+					b = strconv.AppendInt(b, int64(st.Iter), 10)
+					b = append(b, ':')
+					b = strconv.AppendInt(b, st.Tasks, 10)
+					b = append(b, ':')
+					b = appendBits(b, st.Start)
+					b = append(b, ':')
+					b = appendBits(b, st.End)
+					b = append(b, ':')
+					sep := false
+					for id, n := range st.Places {
+						if n == 0 {
+							continue
+						}
+						if sep {
+							b = append(b, ',')
+						}
+						sep = true
+						b = strconv.AppendInt(b, int64(id), 10)
+						b = append(b, '=')
+						b = strconv.AppendInt(b, n, 10)
+					}
 				}
-				b.WriteString("\n")
+				b = append(b, '\n')
 			}
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// placesKey renders an iteration's place counts in deterministic order.
-func placesKey(places map[int]int64) string {
-	ids := make([]int, 0, len(places))
-	for id := range places {
-		ids = append(ids, id)
+// appendBits appends the lowercase hex of a float's IEEE-754 bits.
+func appendBits(b []byte, v float64) []byte {
+	return strconv.AppendUint(b, math.Float64bits(v), 16)
+}
+
+// fingerprintSize estimates Fingerprint's length from the grid's shape
+// (a float is at most 16 hex digits; an iteration touches a few places),
+// so the buffer rarely grows.
+func (r *Result) fingerprintSize() int {
+	n := 256
+	for pi := range r.Cells {
+		for xi := range r.Cells[pi] {
+			for _, run := range r.Cells[pi][xi].Runs {
+				n += 192 + 17*len(run.CoreBusy) + 40*len(run.HighHist)
+				for _, st := range run.Iters {
+					n += 48 + len(st.Places)
+				}
+			}
+		}
 	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d=%d", id, places[id])
-	}
-	return strings.Join(parts, ",")
+	return n
 }
 
 // mergeHists merges per-node place histograms into one distribution,

@@ -170,9 +170,9 @@ func TestRemoteBackendFingerprint(t *testing.T) {
 }
 
 // TestRemoteBackendIterStats sends a KMeans cell over the wire: its
-// metrics carry per-iteration stats with integer-keyed place maps, the
+// metrics carry per-iteration stats with dense per-place rows, the
 // richest part of RunMetrics, and the fingerprint must still survive the
-// JSON round trip bit-exactly.
+// binary frame's round trip bit-exactly.
 func TestRemoteBackendIterStats(t *testing.T) {
 	worker := NewManager(Config{Workers: 2})
 	srv := httptest.NewServer(worker.Handler(slog.New(slog.NewTextHandler(io.Discard, nil))))

@@ -150,3 +150,23 @@ func BenchmarkServiceColdRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardCodec encodes and decodes the response frame of one
+// scale-0.1 burst-sweep cell (a stat per DAG layer), the shard wire's
+// per-cell cost on both nodes.
+func BenchmarkShardCodec(b *testing.B) {
+	_, frame, rm := realShard(b, burstSweepSpec(0.1))
+	resp := shardResponse{Results: []shardCellResult{{Hash: "cell", Metrics: &rm}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := encodeShardResponse(resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := decodeShardResponse(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(frame)), "frame-B")
+}

@@ -13,12 +13,10 @@ package service
 //   - faultTransport wraps a remote backend's http.RoundTripper and
 //     injects wire-level faults into real HTTP responses: a corrupted
 //     result hash (tripping the remote backend's verification) and a
-//     truncated body (tripping the JSON decoder).
+//     truncated body (tripping the frame decoder).
 //
 // Both consume a script one entry per call — explicit, or derived from a
-// seed via seededFaultScript — so every chaos run is reproducible. This
-// lives outside _test.go so future tooling (an asymd chaos mode, fault
-// benchmarks) can reuse it.
+// seed via seededFaultScript — so every chaos run is reproducible.
 
 import (
 	"bytes"
@@ -50,10 +48,10 @@ const (
 	// delivered prefix would survive.
 	faultCrash
 	// faultCorrupt (faultTransport only) flips a result hash in the
-	// response body, so the coordinator's verification must reject it.
+	// response frame, so the coordinator's verification must reject it.
 	faultCorrupt
 	// faultTruncate (faultTransport only) cuts the response body in
-	// half, so decoding fails mid-document.
+	// half, so decoding fails mid-frame.
 	faultTruncate
 )
 
@@ -209,23 +207,24 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// corruptFirstHash flips one hex digit of the first "hash" value in a
-// JSON document, reporting whether it found one to flip.
+// corruptFirstHash flips one hex digit of the first result hash in a
+// shard response frame, re-encoding it, and reports whether the body was
+// a frame with a hash to flip.
 func corruptFirstHash(body []byte) ([]byte, bool) {
-	marker := []byte(`"hash": "`)
-	i := bytes.Index(body, marker)
-	if i < 0 {
+	resp, err := decodeShardResponse(body)
+	if err != nil || len(resp.Results) == 0 || resp.Results[0].Hash == "" {
 		return body, false
 	}
-	out := append([]byte(nil), body...)
-	j := i + len(marker)
-	if j >= len(out) {
-		return body, false
-	}
-	if out[j] == '0' {
-		out[j] = '1'
+	h := []byte(resp.Results[0].Hash)
+	if h[0] == '0' {
+		h[0] = '1'
 	} else {
-		out[j] = '0'
+		h[0] = '0'
+	}
+	resp.Results[0].Hash = string(h)
+	out, err := encodeShardResponse(resp)
+	if err != nil {
+		return body, false
 	}
 	return out, true
 }

@@ -1,6 +1,7 @@
 package service
 
-// HTTP/JSON wire API over Manager:
+// HTTP/JSON wire API over Manager (binary frames on the worker-facing
+// shard endpoint):
 //
 //	POST /v1/jobs            {"family": "...", "scale": 0.1, "seed": 7}
 //	                         or {"spec": {...canonical spec JSON...}}
@@ -21,9 +22,11 @@ package service
 //	GET  /metrics            → 200 Prometheus text exposition
 //	GET  /debug/pprof/*      net/http/pprof (only with Config.EnablePprof)
 //	POST /v1/shards          worker-facing: run a batch of plan cells
-//	                         {"spec": {...}, "cells": [{policy,point,rep,hash}]}
-//	                         → 200 {"results": [{hash, metrics|error}],
-//	                         elapsed_ms, spans: worker-side timeline}
+//	                         binary request frame (canonical spec, cells by
+//	                         policy/point/rep/hash; wire.go)
+//	                         → 200 binary response frame (per-cell metrics
+//	                         or error, elapsed ms, worker-side timeline);
+//	                         409 on frame-version or cell-hash skew
 //
 // Every request carries an X-Request-ID (echoed from the caller, minted
 // here otherwise); it is returned as a response header, attached to the
@@ -36,9 +39,9 @@ package service
 //
 // /v1/shards is how one asymd node farms work to another (-peers): the
 // coordinator ships the canonical spec plus cell coordinates, the worker
-// re-plans it, verifies the cell hashes (rejecting version skew with 409),
-// serves what its own cell cache holds and simulates the rest on its local
-// pool.
+// re-plans it, verifies the frame version and the cell hashes (rejecting
+// either skew with 409), serves what its own cell cache holds and
+// simulates the rest on its local pool.
 
 import (
 	"encoding/json"
@@ -266,15 +269,23 @@ func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleShards serves the worker side of the shard API: re-plan the
 // shipped spec, verify the requested cells against the local derivation,
-// serve cached cells and simulate the rest on the local pool. Hash
-// disagreement means the peer runs a different canonical encoding or
-// engine — refuse with 409 rather than return results under keys the
-// coordinator will misfile.
+// serve cached cells and simulate the rest on the local pool. A frame of
+// another version, or hash disagreement, means the peer runs a different
+// codec, canonical encoding or engine — refuse with 409 rather than
+// misread the shard or return results under keys the coordinator will
+// misfile.
 func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
-	var req shardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	frame, err := readFrame(http.MaxBytesReader(w, r.Body, maxShardBytes), r.ContentLength)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read shard request: %w", err))
+		return
+	}
+	req, err := decodeShardRequest(frame)
+	switch {
+	case errors.Is(err, errShardVersion):
+		writeError(w, http.StatusConflict, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode shard request: %w", err))
 		return
 	}
@@ -374,7 +385,12 @@ func (m *Manager) handleShards(w http.ResponseWriter, r *http.Request) {
 			EndMS:   float64(sp.End) / float64(time.Millisecond),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, err := encodeShardResponse(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeFrame(w, body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -387,16 +387,17 @@ func TestHTTPFamiliesSorted(t *testing.T) {
 	}
 }
 
-// TestHTTPShardErrors covers the worker-facing endpoint's refusal paths.
+// TestHTTPShardErrors covers the worker-facing endpoint's refusal paths:
+// malformed frames are 400, frame-version and cell-hash skew are 409.
 func TestHTTPShardErrors(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	sj, err := tinySpec(51).CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(body string) int {
+	post := func(body []byte) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/shards", shardContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,15 +405,28 @@ func TestHTTPShardErrors(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
+	frame := func(spec []byte, cells ...shardCell) []byte {
+		t.Helper()
+		b, err := encodeShardRequest(shardRequest{Spec: spec, Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	mismatch := frame(sj, shardCell{Hash: "deadbeef"})
+	skewed := bytes.Clone(mismatch)
+	skewed[len(shardMagic)]++
 	for name, tc := range map[string]struct {
-		body string
+		body []byte
 		want int
 	}{
-		"not json":      {`hello`, http.StatusBadRequest},
-		"no cells":      {fmt.Sprintf(`{"spec": %s, "cells": []}`, sj), http.StatusBadRequest},
-		"bad spec":      {`{"spec": {"workload": {"kind": "synthetic"}, "policies": []}, "cells": [{"policy":0,"point":0,"rep":0,"hash":"x"}]}`, http.StatusBadRequest},
-		"out of grid":   {fmt.Sprintf(`{"spec": %s, "cells": [{"policy":9,"point":0,"rep":0,"hash":"x"}]}`, sj), http.StatusBadRequest},
-		"hash mismatch": {fmt.Sprintf(`{"spec": %s, "cells": [{"policy":0,"point":0,"rep":0,"hash":"deadbeef"}]}`, sj), http.StatusConflict},
+		"not a frame":   {[]byte(`hello`), http.StatusBadRequest},
+		"truncated":     {mismatch[:len(mismatch)-3], http.StatusBadRequest},
+		"no cells":      {frame(sj), http.StatusBadRequest},
+		"bad spec":      {frame([]byte(`{"workload": {"kind": "synthetic"}, "policies": []}`), shardCell{Hash: "x"}), http.StatusBadRequest},
+		"out of grid":   {frame(sj, shardCell{Policy: 9, Hash: "x"}), http.StatusBadRequest},
+		"hash mismatch": {mismatch, http.StatusConflict},
+		"version skew":  {skewed, http.StatusConflict},
 	} {
 		if code := post(tc.body); code != tc.want {
 			t.Errorf("%s: status %d, want %d", name, code, tc.want)

@@ -271,7 +271,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 
-	var lanes, queued, shardSlices, simulate, merge int
+	var lanes, queued, shardSlices, simulate, merge, fingerprint int
 	for _, ev := range events {
 		switch {
 		case ev.Ph == "M":
@@ -295,13 +295,15 @@ func TestTraceEndpoint(t *testing.T) {
 			simulate++
 		case ev.Name == "merge":
 			merge++
+		case ev.Name == "fingerprint":
+			fingerprint++
 		}
 	}
 	if lanes == 0 {
 		t.Error("trace has no thread_name lane metadata")
 	}
-	if queued != 1 || merge != 1 {
-		t.Errorf("trace has %d queued and %d merge slices, want 1 each", queued, merge)
+	if queued != 1 || merge != 1 || fingerprint != 1 {
+		t.Errorf("trace has %d queued, %d merge and %d fingerprint slices, want 1 each", queued, merge, fingerprint)
 	}
 	// tinySpec has 4 cells at ShardSize 2 → at least 2 shard attempts,
 	// each answered by the worker with simulate spans to graft.

@@ -10,15 +10,15 @@ package service
 // peer refuses the shard instead of silently producing results under the
 // wrong key. The check catches both encoding skew (the re-derived base
 // differs) and engine skew (scenario.cellHashVersion, baked into every
-// cell hash, must be bumped when engine behavior changes). Metrics cross
-// the wire as plain JSON: Go encodes float64 with the shortest
-// representation that round-trips exactly, so merged fingerprints stay
-// bit-identical to an in-process run.
+// cell hash, must be bumped when engine behavior changes). Both bodies
+// are binary frames (wire.go) that carry every float as its IEEE-754
+// bits, so merged fingerprints stay bit-identical to an in-process run.
+// The frame is versioned: a worker on another frame version refuses the
+// shard with 409, like hash skew, and the coordinator fails the attempt.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,56 +31,11 @@ import (
 	"dynasym/internal/trace"
 )
 
-// shardRequest is the POST /v1/shards body.
-type shardRequest struct {
-	// Spec is the plan's canonical spec encoding.
-	Spec json.RawMessage `json:"spec"`
-	// Cells are the shard's cells by grid coordinates. Hash is the
-	// coordinator's cell hash; the worker rejects the shard if its own
-	// derivation disagrees.
-	Cells []shardCell `json:"cells"`
-}
-
-type shardCell struct {
-	Policy int    `json:"policy"`
-	Point  int    `json:"point"`
-	Rep    int    `json:"rep"`
-	Hash   string `json:"hash"`
-}
-
-// shardResponse is the POST /v1/shards reply: one entry per requested
-// cell, in request order. ElapsedMS and Spans let the coordinator graft
-// the worker's timeline into the job trace: ElapsedMS is the worker's
-// wall time for the shard, and each span's Start/End are offsets (ms)
-// from the worker's request receipt. The coordinator re-bases them into
-// the attempt window assuming symmetric wire time, so no cross-node
-// clock agreement is needed.
-type shardResponse struct {
-	Results   []shardCellResult `json:"results"`
-	ElapsedMS float64           `json:"elapsed_ms,omitempty"`
-	Spans     []wireSpan        `json:"spans,omitempty"`
-}
-
-// wireSpan is a worker-side trace span in wire form. Lane "" is the
-// shard itself; other lanes (worker pool slots) are nested under the
-// coordinator's attempt lane by prefixing.
-type wireSpan struct {
-	Name    string  `json:"name"`
-	Cat     string  `json:"cat,omitempty"`
-	Lane    string  `json:"lane,omitempty"`
-	StartMS float64 `json:"start_ms"`
-	EndMS   float64 `json:"end_ms"`
-}
-
-type shardCellResult struct {
-	Hash    string               `json:"hash"`
-	Metrics *scenario.RunMetrics `json:"metrics,omitempty"`
-	Error   string               `json:"error,omitempty"`
-}
-
-// maxShardBytes bounds a shard request or response document. Shards carry
-// full metric sets (per-core busy times, histograms, per-iteration stats),
-// so the bound is well above maxSpecBytes.
+// maxShardBytes bounds a shard request or response frame. A response
+// carries full metric sets (per-core busy times, histograms and a dense
+// place row per iteration, up to ~50 KB for a scale-0.1 burst-sweep
+// cell), so the bound sits well above maxSpecBytes and any 16-cell shard
+// the built-in families produce.
 const maxShardBytes = 64 << 20
 
 // remoteBackend executes shards on one peer asymd node.
@@ -100,8 +55,8 @@ func NewRemoteBackend(baseURL string, dialTimeout time.Duration) Backend {
 }
 
 // newRemoteBackend additionally accepts a transport override, which the
-// chaos suite uses to inject wire-level faults (fault.go) between a real
-// coordinator and a real worker.
+// chaos suite uses to inject wire-level faults (faultinject_test.go)
+// between a real coordinator and a real worker.
 func newRemoteBackend(baseURL string, dialTimeout time.Duration, rt http.RoundTripper) Backend {
 	if dialTimeout == 0 {
 		dialTimeout = 10 * time.Second
@@ -167,7 +122,7 @@ func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells 
 	for i, c := range cells {
 		req.Cells[i] = shardCell{Policy: c.Policy, Point: c.Point, Rep: c.Rep, Hash: c.Hash}
 	}
-	body, err := json.Marshal(req)
+	body, err := encodeShardRequest(req)
 	if err != nil {
 		return nil, fmt.Errorf("encode shard: %w", err)
 	}
@@ -175,7 +130,7 @@ func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells 
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", shardContentType)
 	if id := requestIDFrom(ctx); id != "" {
 		hreq.Header.Set("X-Request-ID", id)
 	}
@@ -190,8 +145,12 @@ func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("shard rejected: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var sr shardResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardBytes)).Decode(&sr); err != nil {
+	frame, err := readFrame(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("read shard response: %w", err)
+	}
+	sr, err := decodeShardResponse(frame)
+	if err != nil {
 		return nil, fmt.Errorf("decode shard response: %w", err)
 	}
 	r.graftSpans(jt, traceLaneFrom(ctx), t0, jt.at(), &sr)
@@ -205,12 +164,12 @@ func (r *remoteBackend) Execute(ctx context.Context, plan *scenario.Plan, cells 
 		}
 		out[i] = CellResult{Hash: cr.Hash}
 		switch {
-		case cr.Error != "":
-			out[i].Err = errors.New(cr.Error)
-		case cr.Metrics == nil:
+		case cr.Metrics != nil:
+			out[i].Metrics = *cr.Metrics
+		case cr.Error == "":
 			return nil, fmt.Errorf("shard result %d has neither metrics nor error", i)
 		default:
-			out[i].Metrics = *cr.Metrics
+			out[i].Err = errors.New(cr.Error)
 		}
 	}
 	return out, nil

@@ -499,7 +499,9 @@ func (m *Manager) execute(j *Job) {
 		m.mx.jobsFailed.Inc()
 	} else {
 		j.result = res
+		fpT0 := jt.at()
 		j.fprint = res.Fingerprint()
+		jt.span(trace.Span{Name: "fingerprint", Cat: "job", Lane: "job", Start: fpT0, End: jt.at()})
 		j.state.Store(int32(StateDone))
 		m.mx.jobsDone.Inc()
 	}
